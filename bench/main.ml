@@ -11,6 +11,7 @@
    recorded against the paper in EXPERIMENTS.md. *)
 
 open Calyx
+module Json = Calyx_telemetry.Json
 
 let geomean = function
   | [] -> nan
@@ -597,24 +598,27 @@ let stats () =
   Record.summary "systolic8_emit_s" dt_sys_emit
 
 (* ------------------------------------------------------------------ *)
-(* Simulator engines: fixpoint vs scheduled vs compiled                *)
+(* Simulator engines: fixpoint oracle vs compiled                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Wall-clock comparison of the simulator's three evaluation engines on
-   identical designs. Cycle counts must match exactly across all three
-   (the differential fuzz suite proves observational equivalence in
-   depth; the check here guards the benchmark itself).
+(* Wall-clock comparison of the simulator's two evaluation engines on
+   identical designs. Cycle counts must match exactly (the differential
+   fuzz suite proves observational equivalence in depth; the check here
+   guards the benchmark itself).
 
    Each engine's run is phase-split the way Verilator reports are:
    instantiation ([Sim.create] — for the compiled engine this is the AOT
    specialization pass) is timed separately from simulation (stimulus
-   loading + clocked execution), and the speedup columns compare
-   simulation time. The compile cost is paid once per design and
-   amortizes over a testbench's many runs; reporting it in its own
-   column keeps the comparison honest rather than hiding it. The "_s"
-   and "_x" fields are wall-clock derived and excluded from regression;
-   the cycle counts and the mismatch counter are deterministic and
-   compared. *)
+   loading + clocked execution). [speedup_x] compares simulation time;
+   [total_speedup_x] compares instantiate + run, so the compiled engine's
+   costlier instantiation is charged against it. The compile cost is paid
+   once per design and amortizes over a testbench's many runs; reporting
+   it in its own column keeps the comparison honest rather than hiding
+   it. Each repetition starts from a collected heap, so one engine's
+   garbage is not billed to the next. The "_s" and "_x" fields are
+   wall-clock derived and excluded from regression (so the floor below is
+   printed, not gated); the cycle counts and the mismatch counter are
+   deterministic and compared. *)
 let best_of_3 f =
   let b = ref infinity and res = ref None in
   for _ = 1 to 3 do
@@ -625,63 +629,71 @@ let best_of_3 f =
   (Option.get !res, !b)
 
 (* [f ()] must return [(result, create_seconds, simulate_seconds)]; keeps
-   the best of each phase independently across the three repetitions. *)
-let best_of_3_phased f =
+   the best of each phase independently over at least three repetitions,
+   and over as many more as fit in about a second, so that a phase of a
+   few milliseconds gets enough samples for its minimum to shed
+   scheduler noise. *)
+let best_phased f =
   let bc = ref infinity and bs = ref infinity and res = ref None in
-  for _ = 1 to 3 do
+  let reps = ref 0 and spent = ref 0. in
+  while !reps < 3 || !spent < 1.0 do
     let r, c, s = f () in
     if c < !bc then bc := c;
     if s < !bs then bs := s;
-    res := Some r
+    res := Some r;
+    incr reps;
+    spent := !spent +. c +. s
   done;
   (Option.get !res, !bc, !bs)
 
+(* The compiled engine's floor on systolic-8x8, instantiate + run over the
+   fixpoint oracle: the retired scheduled engine's 16.1x, so dropping that
+   engine never leaves the fast path slower than it was. *)
+let systolic8_floor_x = 16.1
+
 let engines () =
-  header "Simulator engines: fixpoint vs scheduled vs compiled";
-  Printf.printf "%-14s %8s %8s %8s %8s %8s %8s %8s %7s %7s %6s\n" "design"
-    "fix-cyc" "sch-cyc" "cmp-cyc" "fix-s" "sch-s" "cmp-aot" "cmp-s" "sch-x"
-    "cmp-x" "match";
+  header "Simulator engines: fixpoint vs compiled";
+  Printf.printf "%-14s %8s %8s %8s %8s %8s %8s %7s %7s %6s\n" "design"
+    "fix-cyc" "cmp-cyc" "fix-aot" "fix-s" "cmp-aot" "cmp-s" "sim-x" "tot-x"
+    "match";
   let speedups = ref []
-  and comp_speedups = ref []
+  and totals = ref []
   and systolic8 = ref nan
-  and systolic8_comp = ref nan
+  and systolic8_total = ref nan
   and mismatches = ref 0 in
-  let report name (fc, fcr, ft) (sc, scr, st) (cc, ccr, ct) =
-    let s = ft /. st in
-    let cx = st /. ct in
-    let equal = fc = sc && sc = cc in
+  let report name (fc, fcr, ft) (cc, ccr, ct) =
+    let s = ft /. ct in
+    let tot = (fcr +. ft) /. (ccr +. ct) in
+    let equal = fc = cc in
     if not equal then incr mismatches;
     if name = "systolic-8x8" then begin
       systolic8 := s;
-      systolic8_comp := cx
+      systolic8_total := tot
     end;
     speedups := s :: !speedups;
-    comp_speedups := cx :: !comp_speedups;
-    Printf.printf
-      "%-14s %8d %8d %8d %8.4f %8.4f %8.4f %8.4f %6.2fx %6.2fx %6s\n" name fc
-      sc cc ft st ccr ct s cx
+    totals := tot :: !totals;
+    Printf.printf "%-14s %8d %8d %8.4f %8.4f %8.4f %8.4f %6.2fx %6.2fx %6s\n"
+      name fc cc fcr ft ccr ct s tot
       (if equal then "ok" else "FAIL");
     Record.row
       [
         ("design", Json.str name);
         ("fixpoint_cycles", Json.int fc);
-        ("scheduled_cycles", Json.int sc);
         ("compiled_cycles", Json.int cc);
         ("cycles_equal", Json.bool equal);
         ("fixpoint_compile_s", Json.float fcr);
-        ("scheduled_compile_s", Json.float scr);
         ("compiled_compile_s", Json.float ccr);
         ("fixpoint_s", Json.float ft);
-        ("scheduled_s", Json.float st);
         ("compiled_s", Json.float ct);
         ("speedup_x", Json.float s);
-        ("compiled_over_scheduled_x", Json.float cx);
+        ("total_speedup_x", Json.float tot);
       ]
   in
   List.iter
     (fun n ->
       let ctx = systolic_ctx n Pipelines.insensitive_config in
       let run engine () =
+        Gc.full_major ();
         let sim, create_s = time (fun () -> Calyx_sim.Sim.create ~engine ctx) in
         let cycles, sim_s =
           time (fun () ->
@@ -701,9 +713,8 @@ let engines () =
       in
       report
         (Printf.sprintf "systolic-%dx%d" n n)
-        (best_of_3_phased (run `Fixpoint))
-        (best_of_3_phased (run `Scheduled))
-        (best_of_3_phased (run `Compiled)))
+        (best_phased (run `Fixpoint))
+        (best_phased (run `Compiled)))
     [ 4; 8 ];
   List.iter
     (fun name ->
@@ -711,6 +722,7 @@ let engines () =
       let prog = Polybench.Harness.program k ~unrolled:false in
       let lowered = Pipelines.compile (Dahlia.To_calyx.compile prog) in
       let run engine () =
+        Gc.full_major ();
         let sim, create_s =
           time (fun () -> Calyx_sim.Sim.create ~engine lowered)
         in
@@ -724,21 +736,23 @@ let engines () =
         (cycles, create_s, sim_s)
       in
       report name
-        (best_of_3_phased (run `Fixpoint))
-        (best_of_3_phased (run `Scheduled))
-        (best_of_3_phased (run `Compiled)))
+        (best_phased (run `Fixpoint))
+        (best_phased (run `Compiled)))
     [ "gemm"; "gemver"; "atax" ];
+  let below_floor = !systolic8_total < systolic8_floor_x in
   Printf.printf
-    "geomean sched/fix %.2fx, systolic-8x8 %.2fx (target: >= 2x); geomean \
-     comp/sched %.2fx, systolic-8x8 %.2fx (target: >= 3x); %d cycle \
-     mismatches\n"
-    (geomean !speedups) !systolic8 (geomean !comp_speedups) !systolic8_comp
+    "geomean comp/fix %.2fx simulation, %.2fx instantiate + run; \
+     systolic-8x8 %.2fx / %.2fx (floor: >= %.1fx instantiate + run%s); %d \
+     cycle mismatches\n"
+    (geomean !speedups) (geomean !totals) !systolic8 !systolic8_total
+    systolic8_floor_x
+    (if below_floor then ", BELOW FLOOR" else "")
     !mismatches;
   Record.summary "cycle_mismatches" (float_of_int !mismatches);
   Record.summary "geomean_speedup_x" (geomean !speedups);
+  Record.summary "geomean_total_speedup_x" (geomean !totals);
   Record.summary "systolic8_speedup_x" !systolic8;
-  Record.summary "geomean_compiled_speedup_x" (geomean !comp_speedups);
-  Record.summary "systolic8_compiled_speedup_x" !systolic8_comp
+  Record.summary "systolic8_total_speedup_x" !systolic8_total
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: the zero-cost-when-disabled claim                        *)
@@ -752,7 +766,7 @@ let engines () =
       (settles x ns-per-disabled-site) / disabled runtime, gated against
       the 2% budget. The settle count — the number of times a disabled
       site actually executes on the sim hot path — is read back from the
-      scheduled engine's dirty-set histogram under an enabled run, so the
+      compiled engine's dirty-set histogram under an enabled run, so the
       estimate uses the real op count rather than a guess.
 
    The enabled/disabled wall ratio is also recorded ("_x", excluded from
@@ -790,7 +804,7 @@ let telemetry_bench () =
   let mismatches = ref 0 and over_budget = ref 0 and rows = ref 0 in
   let budget = 0.02 in
   let settle_count run =
-    (* Number of scheduled-engine settles in one run: the dirty-set
+    (* Number of compiled-engine settles in one run: the dirty-set
        histogram's count delta under an enabled run. This is exactly how
        many times the per-settle telemetry branch executes. *)
     let count () =
@@ -800,7 +814,7 @@ let telemetry_bench () =
     in
     T.Runtime.with_enabled (fun () ->
         let before = count () in
-        ignore (run `Scheduled ());
+        ignore (run `Compiled ());
         count () - before)
   in
   let report name run =
@@ -833,11 +847,7 @@ let telemetry_bench () =
             ("overhead_x", Json.float (on_s /. off_s));
             ("est_disabled_overhead_x", Json.float est);
           ])
-      [
-        (`Fixpoint, "fixpoint");
-        (`Scheduled, "scheduled");
-        (`Compiled, "compiled");
-      ]
+      [ (`Fixpoint, "fixpoint"); (`Compiled, "compiled") ]
   in
   List.iter
     (fun n ->

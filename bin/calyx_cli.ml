@@ -69,16 +69,9 @@ let file_arg =
 let engine_term =
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("fixpoint", `Fixpoint);
-             ("scheduled", `Scheduled);
-             ("compiled", `Compiled);
-           ])
-        `Fixpoint
+    & opt (enum [ ("fixpoint", `Fixpoint); ("compiled", `Compiled) ]) `Compiled
     & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"Simulation evaluation engine: $(b,fixpoint) (the reference dense iteration), $(b,scheduled) (levelized dirty-set evaluation; observably identical, faster on large designs), or $(b,compiled) (ahead-of-time specialized closures over the levelized graph; observably identical, fastest).")
+        ~doc:"Simulation evaluation engine: $(b,compiled) (the default: ahead-of-time specialized closures run in dirty-set order over the levelized slot graph) or $(b,fixpoint) (the reference dense iteration, the oracle; observably identical, much slower).")
 
 let mems_term =
   Arg.(
@@ -504,7 +497,7 @@ let systolic_cmd =
             ~pipeline:(Calyx.Pipelines.id config) ();
         let ctx =
           Tele.Trace.with_span ~cat:"stage" "generate" (fun () ->
-              Systolic.generate d)
+              try Systolic.generate d with Invalid_argument msg -> failwith msg)
         in
         if execute then begin
           let lowered = Calyx.Pipelines.compile ~config ctx in
@@ -626,18 +619,18 @@ let profile_cmd =
               let wall = Calyx_synth.Timing.wall_ns timing ~cycles in
               if json then
                 print_endline
-                  (Calyx.Json.obj
+                  (Tele.Json.obj
                      [
-                       ("file", Calyx.Json.str file);
-                       ("cycles", Calyx.Json.int cycles);
+                       ("file", Tele.Json.str file);
+                       ("cycles", Tele.Json.int cycles);
                        ( "delay_ps",
-                         Calyx.Json.int timing.Calyx_synth.Timing.delay_ps );
+                         Tele.Json.int timing.Calyx_synth.Timing.delay_ps );
                        ( "fmax_mhz",
-                         Calyx.Json.float timing.Calyx_synth.Timing.fmax_mhz );
+                         Tele.Json.float timing.Calyx_synth.Timing.fmax_mhz );
                        ( "period_ns",
-                         Calyx.Json.float
+                         Tele.Json.float
                            (Calyx_synth.Timing.period_ns timing) );
-                       ("wall_ns", Calyx.Json.float wall);
+                       ("wall_ns", Tele.Json.float wall);
                        ("pass_stats", Calyx_obs.Pass_stats.to_json stats);
                        ( "profile",
                          Calyx_obs.Profile.to_json ~ctx:runnable prof );
@@ -725,14 +718,14 @@ let cover_cmd =
               let period_ns = Calyx_synth.Timing.period_ns timing in
               if json then
                 print_endline
-                  (Calyx.Json.obj
+                  (Tele.Json.obj
                      [
-                       ("file", Calyx.Json.str file);
-                       ("cycles", Calyx.Json.int scycles);
-                       ("compiled_cycles", Calyx.Json.int fcycles);
-                       ("period_ns", Calyx.Json.float period_ns);
+                       ("file", Tele.Json.str file);
+                       ("cycles", Tele.Json.int scycles);
+                       ("compiled_cycles", Tele.Json.int fcycles);
+                       ("period_ns", Tele.Json.float period_ns);
                        ( "fmax_mhz",
-                         Calyx.Json.float timing.Calyx_synth.Timing.fmax_mhz );
+                         Tele.Json.float timing.Calyx_synth.Timing.fmax_mhz );
                        ("coverage", Calyx_cover.Coverage.to_json cov);
                        ( "fsm_coverage",
                          Calyx_cover.Coverage.to_json fcov );
@@ -1066,22 +1059,19 @@ let validate_cmd =
           $ config_term $ engine_term $ max_cycles $ cex_dir $ farm_jobs
           $ cache_dir $ telemetry_term)
 
-(* Tri-engine differential fuzzing: every generated program runs under
-   the fixpoint, scheduled and compiled engines (both as generated and
-   through the full pipeline) and the engines must agree on cycle count,
-   final registers, final memories, the ordered control-event stream —
-   and on the error paths: a Conflict/Unstable/Timeout must be raised by
-   all three at the same cycle with the same message. Disagreements are
-   shrunk to minimal counterexample programs, like validate --fuzz. *)
+(* Differential fuzzing: every generated program runs under the fixpoint
+   oracle and the compiled engine (both as generated and through the full
+   pipeline) and the two must agree on cycle count, final registers, final
+   memories, the ordered control-event stream — and on the error paths: a
+   Conflict/Unstable/Timeout must be raised by both at the same cycle with
+   the same message. Disagreements are shrunk to minimal counterexample
+   programs, like validate --fuzz. *)
 let fuzz_cmd =
   let comment s =
     String.concat "\n"
       (List.map (fun l -> "// " ^ l) (String.split_on_char '\n' s))
   in
   let ensure_dir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755 in
-  let engines =
-    [ ("fixpoint", `Fixpoint); ("scheduled", `Scheduled); ("compiled", `Compiled) ]
-  in
   (* One engine's observation of one program: everything the equivalence
      contract covers, or the error it raised. *)
   let observe engine ctx regs mems =
@@ -1120,40 +1110,32 @@ let fuzz_cmd =
       ([], [])
       (Calyx.Ir.entry ctx).Calyx.Ir.cells
   in
-  (* First pairwise disagreement on one program, or None. *)
+  (* How the compiled engine disagrees with the oracle on one program, or
+     None. *)
   let disagreement ctx =
     let regs, mems = state_cells ctx in
-    let runs = List.map (fun (n, e) -> (n, observe e ctx regs mems)) engines in
-    let diff (an, a) (bn, b) =
-      let where =
-        match (a, b) with
-        | Ok (ac, _, _, _), Ok (bc, _, _, _) when ac <> bc ->
-            Some (Printf.sprintf "cycles %d vs %d" ac bc)
-        | Ok (_, ar, _, _), Ok (_, br, _, _) when ar <> br ->
-            Some "final registers differ"
-        | Ok (_, _, am, _), Ok (_, _, bm, _) when am <> bm ->
-            Some "final memories differ"
-        | Ok (_, _, _, ae), Ok (_, _, _, be) when ae <> be ->
-            Some
-              (Printf.sprintf "ctrl events differ (%d vs %d)"
-                 (List.length ae) (List.length be))
-        | Ok _, Ok _ -> None
-        | Error ea, Error eb when ea = eb -> None
-        | Error ea, Error eb ->
-            Some (Printf.sprintf "errors differ: %S vs %S" ea eb)
-        | Ok _, Error eb -> Some (Printf.sprintf "ok vs error %S" eb)
-        | Error ea, Ok _ -> Some (Printf.sprintf "error %S vs ok" ea)
-      in
-      Option.map (fun w -> Printf.sprintf "%s vs %s: %s" an bn w) where
+    let a = observe `Fixpoint ctx regs mems
+    and b = observe `Compiled ctx regs mems in
+    let where =
+      match (a, b) with
+      | Ok (ac, _, _, _), Ok (bc, _, _, _) when ac <> bc ->
+          Some (Printf.sprintf "cycles %d vs %d" ac bc)
+      | Ok (_, ar, _, _), Ok (_, br, _, _) when ar <> br ->
+          Some "final registers differ"
+      | Ok (_, _, am, _), Ok (_, _, bm, _) when am <> bm ->
+          Some "final memories differ"
+      | Ok (_, _, _, ae), Ok (_, _, _, be) when ae <> be ->
+          Some
+            (Printf.sprintf "ctrl events differ (%d vs %d)"
+               (List.length ae) (List.length be))
+      | Ok _, Ok _ -> None
+      | Error ea, Error eb when ea = eb -> None
+      | Error ea, Error eb ->
+          Some (Printf.sprintf "errors differ: %S vs %S" ea eb)
+      | Ok _, Error eb -> Some (Printf.sprintf "ok vs error %S" eb)
+      | Error ea, Ok _ -> Some (Printf.sprintf "error %S vs ok" ea)
     in
-    let rec pairs = function
-      | [] -> None
-      | a :: rest -> (
-          match List.find_map (diff a) rest with
-          | Some d -> Some d
-          | None -> pairs rest)
-    in
-    pairs runs
+    Option.map (fun w -> "fixpoint vs compiled: " ^ w) where
   in
   let run count seed config cex_dir jobs tele =
     with_telemetry tele @@ fun () ->
@@ -1207,7 +1189,7 @@ let fuzz_cmd =
             write_file path
               (Printf.sprintf "// seed: %d\n// spec: %s\n%s\n%s" s
                  (Calyx.Fuzz_gen.to_string spec)
-                 (comment ("tri-engine disagreement: " ^ descr))
+                 (comment ("engine disagreement: " ^ descr))
                  (Calyx.Printer.to_string (Calyx.Fuzz_gen.build spec)));
             Format.printf
               "fuzz seed %d             DISAGREES: %s@.  minimized \
@@ -1218,9 +1200,9 @@ let fuzz_cmd =
               path)
       seeds outcomes;
     Format.printf
-      "fuzz: %d program(s) from seed %d under %d engines (source and \
-       lowered): %d disagreement(s)@."
-      count seed (List.length engines) !failures;
+      "fuzz: %d program(s) from seed %d under the fixpoint and compiled \
+       engines (source and lowered): %d disagreement(s)@."
+      count seed !failures;
     if !failures > 0 then 1 else 0
   in
   let count =
@@ -1250,7 +1232,7 @@ let fuzz_cmd =
   in
   Cmd.v
     (Cmd.info "fuzz"
-       ~doc:"Tri-engine differential fuzzing: run randomly generated programs under the fixpoint, scheduled and compiled simulation engines (as generated and through the full pipeline) and require pairwise agreement on cycle counts, final registers and memories, ordered control events, and error behaviour. Disagreements are shrunk to minimal counterexample programs.")
+       ~doc:"Differential fuzzing: run randomly generated programs under the fixpoint (oracle) and compiled simulation engines (as generated and through the full pipeline) and require agreement on cycle counts, final registers and memories, ordered control events, and error behaviour. Disagreements are shrunk to minimal counterexample programs.")
     Term.(const run $ count $ seed $ config_term $ cex_dir $ jobs
           $ telemetry_term)
 
@@ -1483,40 +1465,40 @@ let stats_cmd =
         let timing = Calyx_synth.Timing.context_depth lowered in
         if json then
           print_endline
-            (Calyx.Json.obj
+            (Tele.Json.obj
                [
-                 ("file", Calyx.Json.str file);
-                 ("cells", Calyx.Json.int (List.length main.Calyx.Ir.cells));
-                 ("groups", Calyx.Json.int (List.length main.Calyx.Ir.groups));
+                 ("file", Tele.Json.str file);
+                 ("cells", Tele.Json.int (List.length main.Calyx.Ir.cells));
+                 ("groups", Tele.Json.int (List.length main.Calyx.Ir.groups));
                  ( "control_statements",
-                   Calyx.Json.int (Calyx.Ir.control_size main.Calyx.Ir.control)
+                   Tele.Json.int (Calyx.Ir.control_size main.Calyx.Ir.control)
                  );
-                 ("compile_seconds", Calyx.Json.float compile_s);
-                 ("emit_seconds", Calyx.Json.float emit_s);
-                 ("loc", Calyx.Json.int (Calyx_verilog.Verilog.loc sv));
+                 ("compile_seconds", Tele.Json.float compile_s);
+                 ("emit_seconds", Tele.Json.float emit_s);
+                 ("loc", Tele.Json.int (Calyx_verilog.Verilog.loc sv));
                  ( "area",
-                   Calyx.Json.obj
+                   Tele.Json.obj
                      [
-                       ("luts", Calyx.Json.int usage.Calyx_synth.Area.luts);
+                       ("luts", Tele.Json.int usage.Calyx_synth.Area.luts);
                        ( "registers",
-                         Calyx.Json.int usage.Calyx_synth.Area.registers );
+                         Tele.Json.int usage.Calyx_synth.Area.registers );
                        ( "register_cells",
-                         Calyx.Json.int usage.Calyx_synth.Area.register_cells );
-                       ("dsps", Calyx.Json.int usage.Calyx_synth.Area.dsps);
-                       ("brams", Calyx.Json.int usage.Calyx_synth.Area.brams);
+                         Tele.Json.int usage.Calyx_synth.Area.register_cells );
+                       ("dsps", Tele.Json.int usage.Calyx_synth.Area.dsps);
+                       ("brams", Tele.Json.int usage.Calyx_synth.Area.brams);
                      ] );
                  ( "timing",
-                   Calyx.Json.obj
+                   Tele.Json.obj
                      [
                        ( "levels",
-                         Calyx.Json.int timing.Calyx_synth.Timing.levels );
+                         Tele.Json.int timing.Calyx_synth.Timing.levels );
                        ( "delay_ps",
-                         Calyx.Json.int timing.Calyx_synth.Timing.delay_ps );
+                         Tele.Json.int timing.Calyx_synth.Timing.delay_ps );
                        ( "fmax_mhz",
-                         Calyx.Json.float timing.Calyx_synth.Timing.fmax_mhz );
+                         Tele.Json.float timing.Calyx_synth.Timing.fmax_mhz );
                        ( "critical",
-                         Calyx.Json.arr
-                           (List.map Calyx.Json.str
+                         Tele.Json.arr
+                           (List.map Tele.Json.str
                               timing.Calyx_synth.Timing.critical) );
                      ] );
                ])

@@ -1,3 +1,5 @@
+module Json = Calyx_telemetry.Json
+
 type severity = Error | Warning | Info
 
 type location =

@@ -428,7 +428,13 @@ let parse_context st entrypoint =
   { components = go []; entrypoint }
 
 let parse_string ?(entrypoint = "main") src =
-  let st = { tokens = Lexer.tokenize src } in
+  let tokens =
+    (* The lexer builds sized literals, so an out-of-range width such as
+       100'd1 surfaces here. *)
+    try Lexer.tokenize src
+    with Bitvec.Width_error msg -> parse_error "sized literal: %s" msg
+  in
+  let st = { tokens } in
   parse_context st entrypoint
 
 let parse_file ?entrypoint path =

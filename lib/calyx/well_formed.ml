@@ -54,9 +54,25 @@ let component_diagnostics ctx comp =
               error ~code:"CX002" ~loc:(cell_loc c.cell_name)
                 "unknown primitive %s" name
           | Some info -> (
-              try ignore (info.make_ports params)
-              with Invalid_argument msg ->
-                error ~code:"CX002" ~loc:(cell_loc c.cell_name) "%s" msg))
+              match info.make_ports params with
+              | exception Invalid_argument msg ->
+                  error ~code:"CX002" ~loc:(cell_loc c.cell_name) "%s" msg
+              | ports -> (
+                  (* Every width parameter sizes some port; bit vectors
+                     hold 1 to 64 bits. *)
+                  match
+                    List.find_opt
+                      (fun (p : Prims.prim_port) ->
+                        p.pp_width < 1 || p.pp_width > Bitvec.max_width)
+                      ports
+                  with
+                  | None -> ()
+                  | Some p ->
+                      error ~code:"CX002" ~loc:(cell_loc c.cell_name)
+                        "%s(%s): port %s would be %d bits wide, outside [1, %d]"
+                        name
+                        (String.concat ", " (List.map string_of_int params))
+                        p.pp_name p.pp_width Bitvec.max_width)))
       | Comp name -> (
           match find_component_opt ctx name with
           | None ->

@@ -26,7 +26,7 @@ type summary = {
 }
 
 val run : ?jobs:int -> ?cache:Cache.t -> Job.t list -> summary
-(** Execute the batch. [jobs] defaults to {!Pool.default_jobs} (clamped to
+(** Execute the batch. [jobs] defaults to {!Calyx_pool.Pool.default_jobs} (clamped to
     at least 1); omit [cache] to force every job cold. For each job the
     worker looks up the cache key (source text + pass-pipeline id +
     engine + tool version); a verified hit is decoded instead of run, a

@@ -13,7 +13,7 @@ type t = {
   validate : bool;
 }
 
-let make ?(config = Calyx.Pipelines.default_config) ?(engine = `Fixpoint)
+let make ?(config = Calyx.Pipelines.default_config) ?(engine = `Compiled)
     ?(validate = false) source =
   { source; config; engine; validate }
 
@@ -42,7 +42,6 @@ let label t =
 let engine_name t =
   match t.engine with
   | `Fixpoint -> "fixpoint"
-  | `Scheduled -> "scheduled"
   | `Compiled -> "compiled"
 
 let systolic_width = 32
@@ -240,8 +239,10 @@ let failed_outcome t diagnostics =
     o_brams = 0;
   }
 
-let run_validation t ~load lowered =
-  let r = Calyx_verilog.Validate.validate ~engine:t.engine ~load lowered in
+(* Checks the job's own simulation against the RTL, so a validated job
+   simulates its design once. *)
+let run_validation ~load lowered ~sim ~cycles =
+  let r = Calyx_verilog.Validate.against_sim ~load lowered ~sim ~cycles in
   {
     v_ok = r.ok;
     v_cycles_rtl = r.cycles_rtl;
@@ -292,7 +293,7 @@ let run t =
           if t.validate then
             Some
               (Tele.Trace.with_span ~cat:"stage" "validate" (fun () ->
-                   run_validation t ~load lowered))
+                   run_validation ~load lowered ~sim ~cycles))
           else None
         in
         let timing = Calyx_synth.Timing.context_timing ~paths:1 lowered in

@@ -23,7 +23,7 @@ type t = {
   engine : Calyx_sim.Sim.engine;
   validate : bool;
       (** Also run RTL translation validation on the emitted
-          SystemVerilog. *)
+          SystemVerilog, checked against the job's own simulation run. *)
 }
 
 val make :
@@ -32,7 +32,7 @@ val make :
   ?validate:bool ->
   source ->
   t
-(** Defaults: [Pipelines.default_config], [`Fixpoint], no validation. *)
+(** Defaults: [Pipelines.default_config], [`Compiled], no validation. *)
 
 val of_file :
   ?config:Calyx.Pipelines.config ->
@@ -43,6 +43,16 @@ val of_file :
 (** Read a [.futil]/[.dahlia]/[.fuse] source file into a [Text] job (the
     frontend is chosen by suffix). The file is read once, here — the
     job's cache key addresses the content at submission time. *)
+
+val build :
+  t ->
+  Calyx.Ir.context
+  * (Calyx_sim.Testbench.io -> unit)
+  * (Calyx_sim.Testbench.io -> string list)
+(** The job's structured program, its input loader and its post-run
+    golden check (which returns mismatch diagnostics). The loader and the
+    check work on any {!Calyx_sim.Testbench.io}, so the same data drives
+    the simulator and the RTL interpreter. *)
 
 val label : t -> string
 val engine_name : t -> string
@@ -92,4 +102,4 @@ val outcome_to_json : outcome -> string
     the determinism suite compares. [outcome_of_json] inverts it exactly:
     serializing a decoded outcome reproduces the input bytes. *)
 
-val outcome_of_json : Calyx.Json.value -> outcome option
+val outcome_of_json : Calyx_telemetry.Json.value -> outcome option

@@ -1,4 +1,5 @@
 open Calyx
+module Json = Calyx_telemetry.Json
 
 type t = { mutable obs : Pass.observation list (* reversed *) }
 

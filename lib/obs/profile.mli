@@ -60,8 +60,9 @@ val cell_stats : t -> cell_stat list
     have no meaningful activity bit); sorted by path. *)
 
 val fixpoint_total : t -> int
-(** Combinational fixpoint iterations summed over all observed cycles and
-    the whole instance hierarchy. *)
+(** Combinational settle work ({!Calyx_sim.Sim.event}'s [ev_iters]: fixpoint
+    iterations under [`Fixpoint], graph nodes touched under [`Compiled])
+    summed over all observed cycles and the whole instance hierarchy. *)
 
 val fixpoint_max : t -> int
 (** The worst single cycle. *)

@@ -24,9 +24,8 @@ let stamp_run (k : Kernels.kernel) ~unrolled ~config ~engine =
       ~pipeline:(Calyx.Pipelines.id config)
       ~engine:
         (match engine with
-        | Some `Scheduled -> "scheduled"
-        | Some `Compiled -> "compiled"
-        | Some `Fixpoint | None -> "fixpoint")
+        | Some `Fixpoint -> "fixpoint"
+        | Some `Compiled | None -> "compiled")
       ()
   end
 
@@ -65,7 +64,7 @@ let verify (k : Kernels.kernel) prog io =
 let load_inputs (k : Kernels.kernel) prog io =
   List.iter (fun (name, values) -> Data.load prog io name values) k.Kernels.inputs
 
-let execute ?(engine = `Fixpoint) (k : Kernels.kernel) prog ctx =
+let execute ?(engine = `Compiled) (k : Kernels.kernel) prog ctx =
   let sim = Calyx_sim.Sim.create ~engine ctx in
   let io = Calyx_sim.Testbench.of_sim sim in
   load_inputs k prog io;

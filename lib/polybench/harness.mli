@@ -30,7 +30,8 @@ val execute :
   int * string list
 (** Simulate an already-compiled [ctx]: load the kernel's inputs, run to
     completion, verify outputs. Returns the cycle count and the names of
-    mismatching output memories. Lets benches time simulation alone. *)
+    mismatching output memories. Lets benches time simulation alone.
+    [engine] defaults to [`Compiled]. *)
 
 val load_inputs : Kernels.kernel -> Dahlia.Ast.prog -> Calyx_sim.Testbench.io -> unit
 (** Load the kernel's deterministic inputs through the bank-aware loader.
@@ -48,7 +49,7 @@ val run :
   unrolled:bool ->
   result
 (** Compile (default: all optimizations), simulate, verify. [engine]
-    selects the simulator's evaluation engine (default [`Fixpoint]). *)
+    selects the simulator's evaluation engine (default [`Compiled]). *)
 
 val run_interp :
   ?engine:Calyx_sim.Sim.engine -> Kernels.kernel -> unrolled:bool -> result

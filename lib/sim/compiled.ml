@@ -1,9 +1,8 @@
-(* The compiled engine's static shape: the scheduled engine's levelized
-   SCC condensation, frozen into an array of steps executed straight-line
-   every settle. All dynamic scheduling (dirty sets, buckets, reader
-   walks) is gone; what remains is the evaluation ORDER, which is exactly
-   the property the levelization proves: by the time a step runs, every
-   acyclic input of its nodes is final. *)
+(* The compiled engine's static shape: Sched's levelized SCC condensation,
+   frozen into an array of steps. The plan records the evaluation ORDER
+   the levelization proves — by the time a step runs, every acyclic input
+   of its nodes is final — which is the order Sched.run visits the dirty
+   closures in. *)
 
 type step = Straight of int array | Iterate of int array
 

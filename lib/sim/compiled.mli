@@ -1,14 +1,14 @@
 (** AOT level plan for the compiled simulation engine.
 
-    The compiled engine takes the levelized, SCC-condensed slot graph the
-    scheduled engine computes ({!Sched}) and freezes it into a {e level
-    plan}: a static sequence of steps, one specialized closure per node,
-    executed straight-line every settle. Acyclic nodes of a level become a
-    {!constructor:Straight} step (each closure runs exactly once per
-    settle, in static order); every genuinely cyclic component becomes its
-    own {!constructor:Iterate} step (its members are swept repeatedly
-    until a sweep changes nothing — the fallback for combinational cycles,
-    with the same divergence budget as the other engines).
+    The compiled engine takes the levelized, SCC-condensed slot graph
+    {!Sched} computes and freezes it into a {e level plan}: a static
+    sequence of steps, one specialized closure per node. Acyclic nodes of
+    a level form a {!constructor:Straight} step (each closure runs at most
+    once per settle, in static order, and only when dirty); every
+    genuinely cyclic component forms its own {!constructor:Iterate} step
+    (its members are re-run until they stop changing — the fallback for
+    combinational cycles, with the reference engine's divergence
+    budget).
 
     The plan itself is value-agnostic — node ids are the caller's; the
     simulator builds the closures. {!render} prints the plan with

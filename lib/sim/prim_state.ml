@@ -211,7 +211,7 @@ let outputs t ~read =
       outs @ [ ("done", bool_bit p.p_done) ]
 
 (* [commit] returns whether the primitive's *outputs* may differ next
-   cycle, so the scheduled engine knows which primitive nodes to re-mark at
+   cycle, so the compiled engine knows which primitive nodes to re-mark at
    the clock edge. False negatives would be unsound (a stale output
    survives a settle); false positives only cost a wasted re-evaluation, so
    hard-to-track cases (memory writes, custom models) answer [true]. *)
@@ -279,7 +279,7 @@ let commit t ~read =
    cycle); [None] means "assume all". Registered primitives whose outputs
    come only from committed state report the empty list — without this, a
    register's in -> done path would appear as a false combinational cycle
-   to the scheduled engine's dependency graph. *)
+   to the compiled engine's dependency graph. *)
 let comb_inputs = function
   | Comb (Const _) -> Some []
   | Comb Wire | Comb (Slice _) | Comb (Pad _) | Comb (Unop _) -> Some [ "in" ]
@@ -295,7 +295,7 @@ let comb_inputs = function
    resolved to a slot thunk/writer ONCE, at closure-build time, so the
    per-settle hot path does no string lookups and allocates nothing
    beyond the result bitvecs. Semantics mirror [outputs] and [commit]
-   exactly — the tri-engine differential fuzz depends on it. *)
+   exactly — the engine differential fuzz depends on it. *)
 
 let staged_mem_address m ~read =
   let dims = Array.of_list m.m_dims in

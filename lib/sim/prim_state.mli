@@ -26,8 +26,8 @@ val outputs : t -> read:(string -> Bitvec.t) -> (string * Bitvec.t) list
 val commit : t -> read:(string -> Bitvec.t) -> bool
 (** Clock edge: update internal state from the input ports. Returns whether
     the primitive's outputs may differ from before the edge (conservative:
-    [true] may be a false positive, [false] never is) — the scheduled
-    engine's commit-time invalidation hook. *)
+    [true] may be a false positive, [false] never is). The compiled
+    engine uses the staged form, {!compile_commit}. *)
 
 val compile_step :
   t ->
@@ -44,7 +44,7 @@ val compile_step :
 val compile_commit : t -> read:(string -> unit -> Bitvec.t) -> unit -> bool
 (** Staged {!commit}: same clock-edge semantics and the same change report,
     names resolved at build time. The compiled engine uses the report for
-    the same commit-time invalidation as the scheduled one. *)
+    commit-time invalidation. *)
 
 val comb_inputs : t -> string list option
 (** Input ports that an output of this primitive can depend on within the

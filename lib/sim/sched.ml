@@ -8,7 +8,7 @@
    node in an acyclic singleton component is evaluated at most once per
    settle, while the members of a genuinely cyclic component iterate on a
    worklist until they stop re-marking each other (or exceed the budget,
-   which is the scheduled analogue of a diverging fixpoint).
+   which is the compiled engine's analogue of a diverging fixpoint).
 
    The scheduler itself never reads slot values; the caller's [eval]
    callback performs the actual computation and reports value changes back
@@ -112,14 +112,14 @@ let build ~slots ~(nodes : (int list * int list) array) =
             vec_push iters 0
           end
           else if on_stack.(w) then
-            lowlink.(v) <- min lowlink.(v) index.(w)
+            lowlink.(v) <- Int.min lowlink.(v) index.(w)
         end
         else begin
           frames.len <- frames.len - 1;
           iters.len <- iters.len - 1;
           if frames.len > 0 then begin
             let p = frames.data.(frames.len - 1) in
-            lowlink.(p) <- min lowlink.(p) lowlink.(v)
+            lowlink.(p) <- Int.min lowlink.(p) lowlink.(v)
           end;
           if lowlink.(v) = index.(v) then begin
             let id = !scc_count in
@@ -145,30 +145,35 @@ let build ~slots ~(nodes : (int list * int list) array) =
   (* A singleton component is cyclic only if it has a self edge. *)
   let scc_cyclic = Array.make (max nscc 1) false in
   for k = 0 to n - 1 do
-    if scc_size.(scc.(k)) > 1 then scc_cyclic.(scc.(k)) <- true
-    else if Array.exists (fun w -> w = k) succs.(k) then
-      scc_cyclic.(scc.(k)) <- true
+    let c = scc.(k) in
+    if scc_size.(c) > 1 || Array.mem k succs.(k) then scc_cyclic.(c) <- true
   done;
   (* Levelize the condensation: predecessors have higher component ids, so
-     walking ids downward visits every component after its predecessors. *)
-  let members = Array.make (max nscc 1) [] in
-  for k = n - 1 downto 0 do
-    members.(scc.(k)) <- k :: members.(scc.(k))
+     visiting nodes by descending component id (a counting sort into
+     [order]) settles every component's level before its successors read
+     it. *)
+  let start = Array.make (nscc + 1) 0 in
+  for id = nscc - 1 downto 0 do
+    start.(id) <- start.(id + 1) + scc_size.(id)
+  done;
+  let order = Array.make (max n 1) 0 in
+  for k = 0 to n - 1 do
+    let c = scc.(k) in
+    order.(start.(c + 1)) <- k;
+    start.(c + 1) <- start.(c + 1) + 1
   done;
   let scc_level = Array.make (max nscc 1) 0 in
-  for id = nscc - 1 downto 0 do
-    List.iter
-      (fun k ->
-        Array.iter
-          (fun w ->
-            if scc.(w) <> id then
-              scc_level.(scc.(w)) <- max scc_level.(scc.(w)) (scc_level.(id) + 1))
-          succs.(k))
-      members.(id)
+  for i = 0 to n - 1 do
+    let k = order.(i) in
+    let id = scc.(k) in
+    let next = scc_level.(id) + 1 in
+    Array.iter
+      (fun w ->
+        let c = scc.(w) in
+        if c <> id && scc_level.(c) < next then scc_level.(c) <- next)
+      succs.(k)
   done;
-  let nlevels =
-    1 + Array.fold_left max 0 (if nscc = 0 then [| 0 |] else scc_level)
-  in
+  let nlevels = 1 + Array.fold_left Int.max 0 scc_level in
   let level = Array.init (max n 1) (fun k -> if k < n then scc_level.(scc.(k)) else 0) in
   let cyclic = Array.init (max n 1) (fun k -> if k < n then scc_cyclic.(scc.(k)) else false) in
   let cyclic_at =
@@ -179,6 +184,9 @@ let build ~slots ~(nodes : (int list * int list) array) =
     done;
     Array.map (fun ids -> Array.of_list (List.rev ids)) by_level
   in
+  (* Only cyclic components queue their members in a bucket of their own;
+     acyclic ones share an empty placeholder that is never pushed to. *)
+  let no_bucket = { data = [||]; len = 0 } in
   {
     n;
     readers;
@@ -188,7 +196,9 @@ let build ~slots ~(nodes : (int list * int list) array) =
     scc_size;
     nlevels;
     acyclic_bucket = Array.init nlevels (fun _ -> vec_make ());
-    scc_bucket = Array.init (max nscc 1) (fun _ -> vec_make ());
+    scc_bucket =
+      Array.init (max nscc 1) (fun id ->
+          if scc_cyclic.(id) then vec_make () else no_bucket);
     cyclic_at;
     dirty = Array.make (max n 1) false;
     pending = Array.make nlevels 0;

@@ -1,6 +1,6 @@
 (** Static evaluation schedule over a slot-dependency graph.
 
-    The scheduled simulation engine's core: nodes (assignments, primitives,
+    The compiled engine's scheduler: nodes (assignments, primitives,
     child components, group go holes) declare which value slots they read
     and write; {!build} condenses the induced dependency graph into
     strongly connected components and levelizes the condensation. {!run}
@@ -31,8 +31,8 @@ val mark_slot : t -> int -> unit
 val mark_all : t -> unit
 
 exception Diverged
-(** A cyclic component exceeded its evaluation budget — the scheduled
-    analogue of a combinational fixpoint that does not converge. *)
+(** A cyclic component exceeded its evaluation budget — the compiled
+    engine's analogue of a combinational fixpoint that does not converge. *)
 
 val run : t -> eval:(int -> unit) -> max_passes:int -> int
 (** Evaluate dirty nodes in level order until none remain; returns the

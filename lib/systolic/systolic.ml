@@ -77,6 +77,14 @@ let sad_pe ~width =
   |> with_control (enable "do_sad")
 
 let generate ?pe d =
+  List.iter
+    (fun (name, v) ->
+      if v < 1 then
+        invalid_arg
+          (Printf.sprintf "systolic array: %s must be at least 1, got %d" name v))
+    [
+      ("rows", d.rows); ("cols", d.cols); ("depth", d.depth); ("width", d.width);
+    ];
   let pe = match pe with Some p -> p | None -> matmul_pe ~width:d.width in
   let w = d.width in
   let idx_w = clog2 (d.depth + 1) in

@@ -33,7 +33,8 @@ val sad_pe : width:int -> Ir.component
 
 val generate : ?pe:Ir.component -> dims -> Ir.context
 (** The full program; the entrypoint is ["main"]. [pe] defaults to
-    {!matmul_pe} at the array's width. *)
+    {!matmul_pe} at the array's width. Raises [Invalid_argument], naming
+    the parameter, if any dimension or the width is below 1. *)
 
 (** {1 Test-bench interface (external memory names)} *)
 

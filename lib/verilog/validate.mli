@@ -43,11 +43,25 @@ val validate :
   ?load:(Calyx_sim.Testbench.io -> unit) ->
   Ir.context ->
   report
-(** Emit [ctx] (which must already be lowered — see {!Verilog.emit}) to
-    SystemVerilog, elaborate it with {!Vinterp}, apply [load] to both
-    backends (default: nothing), run both to completion, and compare.
+(** Simulate [ctx] (which must already be lowered — see {!Verilog.emit})
+    on a fresh simulator ([engine] defaults to [`Compiled]) after applying
+    [load] (default: nothing), then check that run with {!against_sim}.
     Raises whatever either backend raises ([Sim.Timeout], {!Vinterp.Unstable},
     ...) — a crash on one side is a validation failure the caller reports. *)
+
+val against_sim :
+  ?max_cycles:int ->
+  ?load:(Calyx_sim.Testbench.io -> unit) ->
+  Ir.context ->
+  sim:Calyx_sim.Sim.t ->
+  cycles:int ->
+  report
+(** The comparison half of {!validate}, for a caller that has already
+    simulated [ctx]: [sim] must have been built from [ctx], loaded with
+    [load] and run to completion in [cycles] cycles. Emits [ctx] to
+    SystemVerilog, elaborates it with {!Vinterp}, applies [load] to the
+    RTL, runs it and compares it against [sim]'s final state. Opens no
+    span of its own. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** A short human-readable summary (cycle counts, state-element counts,

@@ -3,7 +3,7 @@
    observable-equivalence checks against the reference fixpoint engine on
    the shared sample programs — including every error path (Conflict,
    Unstable/diverged and Timeout must fire at the same cycle with the
-   same message under all three engines). *)
+   same message under both engines). *)
 
 open Calyx
 
@@ -233,20 +233,18 @@ let test_timeout_parity () =
 
 let test_engine_accessor () =
   let ctx = Progs.counter ~limit:2 () in
-  Alcotest.(check bool) "default is fixpoint" true
-    (Sim.engine (Sim.create ctx) = `Fixpoint);
-  Alcotest.(check bool) "compiled reported" true
-    (Sim.engine (Sim.create ~engine:`Compiled ctx) = `Compiled)
+  Alcotest.(check bool) "default is compiled" true
+    (Sim.engine (Sim.create ctx) = `Compiled);
+  Alcotest.(check bool) "fixpoint reported" true
+    (Sim.engine (Sim.create ~engine:`Fixpoint ctx) = `Fixpoint)
 
 (* compiled_plan: Some under `Compiled (mentioning levels and the fold
-   annotations), None under the interpreting engines. *)
+   annotations), None under the fixpoint oracle. *)
 let test_compiled_plan () =
   let ctx = Progs.counter ~limit:3 () in
   Alcotest.(check bool) "fixpoint has no plan" true
-    (Sim.compiled_plan (Sim.create ctx) = None);
-  Alcotest.(check bool) "scheduled has no plan" true
-    (Sim.compiled_plan (Sim.create ~engine:`Scheduled ctx) = None);
-  match Sim.compiled_plan (Sim.create ~engine:`Compiled ctx) with
+    (Sim.compiled_plan (Sim.create ~engine:`Fixpoint ctx) = None);
+  match Sim.compiled_plan (Sim.create ctx) with
   | None -> Alcotest.fail "compiled engine must expose its plan"
   | Some text ->
       List.iter

@@ -15,6 +15,7 @@ module Sim = Calyx_sim.Sim
 module Coverage = Calyx_cover.Coverage
 module Spans = Calyx_cover.Spans
 module Crit_path = Calyx_cover.Crit_path
+module Json = Calyx_telemetry.Json
 
 let example file =
   List.find Sys.file_exists

@@ -16,7 +16,7 @@
 module Farm = Calyx_farm.Farm
 module Job = Calyx_farm.Job
 module Cache = Calyx_farm.Cache
-module Pool = Calyx_farm.Pool
+module Pool = Calyx_pool.Pool
 module T = Calyx_telemetry
 
 let example file =
@@ -122,11 +122,11 @@ let test_telemetry_neutral () =
   let jobs () =
     List.map
       (fun (k : Polybench.Kernels.kernel) ->
-        Job.make ~engine:`Scheduled
+        Job.make ~engine:`Compiled
           (Job.Polybench { kernel = k.name; unrolled = false }))
       [ Polybench.Kernels.find "gemm"; Polybench.Kernels.find "atax" ]
     @ List.map
-        (fun s -> Job.make ~engine:`Scheduled (Job.Fuzz { seed = s }))
+        (fun s -> Job.make ~engine:`Compiled (Job.Fuzz { seed = s }))
         [ 4; 5 ]
   in
   let baseline = outcome_bytes (Farm.run ~jobs:1 (jobs ())) in
@@ -146,9 +146,9 @@ let test_validate_outcomes_cached () =
   with_temp_dir "farm_val" @@ fun dir ->
   let jobs () =
     [
-      Job.make ~engine:`Scheduled ~validate:true
+      Job.make ~engine:`Compiled ~validate:true
         (Job.Polybench { kernel = "trisolv"; unrolled = false });
-      Job.make ~engine:`Scheduled ~validate:true (Job.Fuzz { seed = 6 });
+      Job.make ~engine:`Compiled ~validate:true (Job.Fuzz { seed = 6 });
     ]
   in
   let cold = Farm.run ~jobs:1 ~cache:(Cache.open_dir dir) (jobs ()) in
@@ -167,7 +167,7 @@ let test_validate_outcomes_cached () =
   let plain =
     Farm.run ~jobs:1
       ~cache:(Cache.open_dir dir)
-      [ Job.make ~engine:`Scheduled (Job.Fuzz { seed = 6 }) ]
+      [ Job.make ~engine:`Compiled (Job.Fuzz { seed = 6 }) ]
   in
   (match plain.Farm.results with
   | [ r ] ->
@@ -180,7 +180,7 @@ let test_validate_outcomes_cached () =
 
 let test_outcome_roundtrip () =
   let job =
-    Job.make ~engine:`Scheduled ~validate:true (Job.Fuzz { seed = 42 })
+    Job.make ~engine:`Compiled ~validate:true (Job.Fuzz { seed = 42 })
   in
   let o = Job.run job in
   let bytes = Job.outcome_to_json o in
@@ -189,6 +189,46 @@ let test_outcome_roundtrip () =
   | Some o' ->
       Alcotest.(check string)
         "decode/encode reproduces the bytes" bytes (Job.outcome_to_json o')
+
+(* A validated job checks the RTL against its own simulation run rather
+   than simulating the design a second time. Its report must match a
+   fresh [Validate.validate] — which builds, loads and runs its own
+   simulator — on the same lowered program and inputs. *)
+let test_validation_reuses_sim () =
+  let jobs =
+    List.map
+      (fun f -> Job.of_file ~validate:true (example f))
+      [ "counter.futil"; "invoke.futil"; "dotprod.dahlia"; "histogram.dahlia" ]
+    @ [ Job.make ~validate:true (Job.Systolic { rows = 2; cols = 2; depth = 2 }) ]
+    @ List.map (fun s -> Job.make ~validate:true (Job.Fuzz { seed = s })) [ 1; 6; 42 ]
+  in
+  List.iter
+    (fun j ->
+      let label = Job.label j in
+      let o = Job.run j in
+      let ctx, load, _ = Job.build j in
+      let lowered = Calyx.Pipelines.compile ~config:j.Job.config ctx in
+      let r = Calyx_verilog.Validate.validate ~load lowered in
+      let fresh =
+        {
+          Job.v_ok = r.ok;
+          v_cycles_rtl = r.cycles_rtl;
+          v_registers_checked = r.registers_checked;
+          v_memories_checked = r.memories_checked;
+          v_mismatches =
+            List.map
+              (fun (m : Calyx_verilog.Validate.mismatch) ->
+                Printf.sprintf "%s: sim=%s rtl=%s" m.path m.sim_value
+                  m.rtl_value)
+              r.mismatches;
+        }
+      in
+      Alcotest.(check int) (label ^ ": same simulated cycles") r.cycles_sim
+        o.Job.o_cycles;
+      Alcotest.(check bool) (label ^ ": validation agrees") true
+        (o.Job.o_validate = Some fresh);
+      Alcotest.(check bool) (label ^ ": rtl agrees") true r.ok)
+    jobs
 
 (* ------------------------------------------------------------------ *)
 (* Cache-correctness properties (Fuzz_seed-derived programs)           *)
@@ -224,7 +264,7 @@ let prop_mutation_rekeys =
       in
       let key t =
         Cache.key ~source:("+sim\ncalyx:" ^ t) ~pipeline:pipeline_id
-          ~engine:"scheduled"
+          ~engine:"compiled"
       in
       let k, k' = (key text, key (mutate text)) in
       with_temp_dir "farm_rekey" @@ fun dir ->
@@ -244,7 +284,7 @@ let prop_identical_source_hits =
       with_temp_dir "farm_hit" @@ fun dir ->
       (* Two fresh job values from the same seed: equal content, no
          sharing — the hit must come from the key, not from memory. *)
-      let job () = [ Job.make ~engine:`Scheduled (Job.Fuzz { seed }) ] in
+      let job () = [ Job.make ~engine:`Compiled (Job.Fuzz { seed }) ] in
       let a = Farm.run ~jobs:1 ~cache:(Cache.open_dir dir) (job ()) in
       let b = Farm.run ~jobs:1 ~cache:(Cache.open_dir dir) (job ()) in
       match (a.Farm.results, b.Farm.results) with
@@ -261,7 +301,7 @@ let prop_corrupt_blob_rejected =
     (Fuzz_seed.seed_arb "farm-corrupt")
     (fun seed ->
       with_temp_dir "farm_corrupt" @@ fun dir ->
-      let job () = [ Job.make ~engine:`Scheduled (Job.Fuzz { seed }) ] in
+      let job () = [ Job.make ~engine:`Compiled (Job.Fuzz { seed }) ] in
       let a = Farm.run ~jobs:1 ~cache:(Cache.open_dir dir) (job ()) in
       (* Flip one byte in the middle of every stored blob: depending on
          where it lands this breaks the JSON, the key echo, or the
@@ -297,7 +337,7 @@ let prop_corrupt_blob_rejected =
    layer, recomputed cold, never fatal. *)
 let test_schema_drift_evicted () =
   with_temp_dir "farm_drift" @@ fun dir ->
-  let job = Job.make ~engine:`Scheduled (Job.Fuzz { seed = 9 }) in
+  let job = Job.make ~engine:`Compiled (Job.Fuzz { seed = 9 }) in
   let key =
     Cache.key ~source:(Job.key_source job)
       ~pipeline:(Calyx.Pipelines.id job.Job.config)
@@ -314,9 +354,9 @@ let test_schema_drift_evicted () =
       Alcotest.(check int) "fresh blob stored" 2 (Cache.stats c).Cache.stores
   | _ -> Alcotest.fail "expected one result"
 
-(* The engine is a key component: the same source under the three
-   evaluation engines occupies three distinct cache slots, so a result
-   computed by one engine is never served as another's. The outcomes
+(* The engine is a key component: the same source under the two
+   evaluation engines occupies two distinct cache slots, so a result
+   computed by one engine is never served as the other's. The outcomes
    themselves must still agree (the engines are observably equal), which
    is exactly why the key — not the bytes — must separate them. *)
 let test_engine_key_separation () =
@@ -327,15 +367,13 @@ let test_engine_key_separation () =
       ~pipeline:(Calyx.Pipelines.id j.Job.config)
       ~engine:(Job.engine_name j)
   in
-  let kf = key `Fixpoint and ks = key `Scheduled and kc = key `Compiled in
-  Alcotest.(check bool)
-    "three engines, three keys" true
-    (kf <> ks && ks <> kc && kf <> kc);
+  Alcotest.(check bool) "two engines, two keys" true
+    (key `Fixpoint <> key `Compiled);
   with_temp_dir "farm_engines" @@ fun dir ->
   let run engine = Farm.run ~jobs:1 ~cache:(Cache.open_dir dir) [ job engine ] in
-  let s1 = run `Scheduled in
+  let s1 = run `Fixpoint in
   let c1 = run `Compiled in
-  Alcotest.(check int) "compiled run misses the scheduled entry" 0 c1.Farm.hits;
+  Alcotest.(check int) "compiled run misses the fixpoint entry" 0 c1.Farm.hits;
   Alcotest.(check int) "compiled outcome stored separately" 1 c1.Farm.stores;
   let c2 = run `Compiled in
   Alcotest.(check int) "compiled warm run hits" 1 c2.Farm.hits;
@@ -418,8 +456,6 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "scheduled engine, full corpus" `Slow
-            (check_determinism `Scheduled);
           Alcotest.test_case "fixpoint engine, full corpus" `Slow
             (check_determinism `Fixpoint);
           Alcotest.test_case "compiled engine, full corpus" `Slow
@@ -430,6 +466,8 @@ let () =
             test_validate_outcomes_cached;
           Alcotest.test_case "outcome JSON round-trip" `Quick
             test_outcome_roundtrip;
+          Alcotest.test_case "validation reuses the job's simulation" `Quick
+            test_validation_reuses_sim;
         ] );
       ( "cache",
         [

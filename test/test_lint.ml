@@ -386,6 +386,22 @@ let test_cond_port_not_readable () =
   in
   has "condition reads an input port" "CX010" (wf ctx)
 
+(* Bit vectors hold 1 to 64 bits, so a primitive whose parameters size a
+   port outside that range is rejected up front rather than crashing the
+   simulator or the emitter. *)
+let test_prim_width_out_of_range () =
+  let prog width =
+    Parser.parse_string
+      (Printf.sprintf
+         "component main(go: 1) -> (done: 1) { cells { r = std_reg(%d); } \
+          wires { group g { r.write_en = 1'd1; g[done] = r.done; } } \
+          control { g; } }"
+         width)
+  in
+  has "std_reg(100)" "CX002" (wf (prog 100));
+  has "std_reg(0)" "CX002" (wf (prog 0));
+  clean "std_reg(64)" (wf (prog 64))
+
 (* End-to-end: the corpus stays warning-free. *)
 let example file =
   (* dune runtest runs in the test directory; dune exec from the root. *)
@@ -469,6 +485,8 @@ let () =
             test_invoke_output_width_mismatch;
           Alcotest.test_case "unreadable condition port" `Quick
             test_cond_port_not_readable;
+          Alcotest.test_case "primitive width out of range" `Quick
+            test_prim_width_out_of_range;
         ] );
       ( "corpus",
         [

@@ -161,6 +161,33 @@ let test_parse_errors () =
   expect_parse_error "component main(go: 1) -> (done: 1) { cells {} wires {} control { if x { } }";
   expect_parse_error "@#!"
 
+(* A sized literal wider than a bit vector can hold is a parse error, not
+   an uncaught width exception. *)
+let test_literal_width_out_of_range () =
+  match
+    Parser.parse_string
+      "component main(go: 1) -> (done: 1) { cells { r = std_reg(8); } \
+       wires { group g { r.in = 100'd1; r.write_en = 1'd1; g[done] = r.done; \
+       } } control { g; } }"
+  with
+  | exception Parser.Parse_error msg ->
+      Alcotest.(check string) "diagnostic"
+        "sized literal: bit vector width 100 out of range [1, 64]" msg
+  | _ -> Alcotest.fail "expected a parse error"
+
+(* The lower bound too: a zero-width literal cannot be built. *)
+let test_literal_width_zero () =
+  match
+    Parser.parse_string
+      "component main(go: 1) -> (done: 1) { cells { r = std_reg(8); } \
+       wires { group g { r.in = 0'd0; r.write_en = 1'd1; g[done] = r.done; \
+       } } control { g; } }"
+  with
+  | exception Parser.Parse_error msg ->
+      Alcotest.(check string) "diagnostic"
+        "sized literal: bit vector width 0 out of range [1, 64]" msg
+  | _ -> Alcotest.fail "expected a parse error"
+
 let test_lexer_literals () =
   let toks = Lexer.tokenize "8'd255 4'b1010" in
   match toks with
@@ -212,5 +239,8 @@ let () =
         [
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "lexer literals" `Quick test_lexer_literals;
+          Alcotest.test_case "literal width out of range" `Quick
+            test_literal_width_out_of_range;
+          Alcotest.test_case "literal width zero" `Quick test_literal_width_zero;
         ] );
     ]

@@ -1,12 +1,9 @@
-(* The scheduled evaluation engine: unit tests for the Sched graph module
-   (levelization, dirty-set evaluation, cyclic-remainder worklist) and
-   observable-equivalence checks against the reference fixpoint engine on
-   the shared sample programs — including the error paths (Conflict and
-   Unstable must fire at the same cycle with the same message). *)
+(* The compiled engine's scheduler in isolation: unit tests for the Sched
+   graph module (levelization, dirty-set evaluation, cyclic-remainder
+   worklist), checked on random graphs against a transitive-closure
+   reference. The engine's observable equivalence with the fixpoint oracle
+   is covered by test_compiled and test_random. *)
 
-open Calyx
-
-module Sim = Calyx_sim.Sim
 module Sched = Calyx_sim.Sched
 
 (* ------------------------------------------------------------------ *)
@@ -109,172 +106,195 @@ let test_self_edge () =
   let g = Sched.build ~slots:1 ~nodes:[| ([ 0 ], [ 0 ]) |] in
   Alcotest.(check bool) "self-edge cyclic" true (Sched.cyclic g 0)
 
-(* ------------------------------------------------------------------ *)
-(* Engine equivalence on the shared sample programs                    *)
-(* ------------------------------------------------------------------ *)
+(* No nodes at all: nothing to levelize and nothing to evaluate. *)
+let test_empty () =
+  let g = Sched.build ~slots:0 ~nodes:[||] in
+  Alcotest.(check int) "no nodes" 0 (Sched.node_count g);
+  Sched.mark_all g;
+  Alcotest.(check int) "nothing evaluated" 0
+    (Sched.run g ~eval:(fun _ -> Alcotest.fail "eval called") ~max_passes:10)
 
-let run_both ctx =
-  let go engine =
-    let sim = Sim.create ~engine ctx in
-    let cycles = Sim.run sim in
-    (sim, cycles)
+(* A chain 0 -> 1 -> 2 -> 3 -> 4 sits on one level per node, and component
+   ids decrease along every edge. *)
+let test_chain () =
+  let n = 5 in
+  let g =
+    Sched.build ~slots:n
+      ~nodes:(Array.init n (fun k -> ((if k = 0 then [] else [ k - 1 ]), [ k ])))
   in
-  let f, fc = go `Fixpoint in
-  let s, sc = go `Scheduled in
-  Alcotest.(check int) "cycle counts agree" fc sc;
-  (f, s)
+  for k = 0 to n - 1 do
+    Alcotest.(check int) (Printf.sprintf "level %d" k) k (Sched.level g k);
+    Alcotest.(check bool) "acyclic" false (Sched.cyclic g k)
+  done;
+  for k = 1 to n - 1 do
+    Alcotest.(check bool) "ids decrease along edges" true
+      (Sched.scc g k < Sched.scc g (k - 1))
+  done
 
-let check_reg name f s =
-  Alcotest.(check int64) ("register " ^ name)
-    (Bitvec.to_int64 (Sim.read_register f name))
-    (Bitvec.to_int64 (Sim.read_register s name))
-
-let test_counter () =
-  let f, s = run_both (Progs.counter ~limit:5 ()) in
-  check_reg "r" f s
-
-let test_seq () =
-  let f, s = run_both (Progs.two_writes_seq ()) in
-  check_reg "x" f s
-
-let test_par () =
-  let f, s = run_both (Progs.two_writes_par ()) in
-  check_reg "x" f s;
-  check_reg "y" f s
-
-let test_if () =
-  let f, s = run_both (Progs.if_program ~x:3 ~y:7 ()) in
-  check_reg "r" f s;
-  let f, s = run_both (Progs.if_program ~x:7 ~y:3 ()) in
-  check_reg "r" f s
-
-(* Hierarchy: a child component evaluated through an NChild graph node. *)
-let test_hierarchy () =
-  let f, s = run_both (Progs.hierarchy ~input:21 ()) in
-  check_reg "r" f s;
-  Alcotest.(check int64) "doubler result" 42L
-    (Bitvec.to_int64 (Sim.read_register s "r"))
-
-(* The pipelined multiplier exercises commit-time invalidation: its done
-   output changes cycles after its inputs stopped changing. *)
-let test_mult () =
-  let f, s = run_both (Progs.mult_program ~x:12 ~y:11 ()) in
-  check_reg "r" f s;
-  Alcotest.(check int64) "product" 132L (Bitvec.to_int64 (Sim.read_register s "r"))
-
-(* Memories: load inputs into both simulations, compare the output memory. *)
-let test_reduction_tree () =
-  let ctx = Progs.reduction_tree ~len:4 () in
-  let load sim =
-    List.iteri
-      (fun i m ->
-        Sim.write_memory_ints sim m ~width:32
-          (List.init 4 (fun j -> (10 * i) + j)))
-      [ "m0"; "m1"; "m2"; "m3" ]
+(* Two unconnected chains levelize independently, and invalidating one
+   leaves the other untouched. *)
+let test_independent () =
+  let g =
+    Sched.build ~slots:4
+      ~nodes:[| ([], [ 0 ]); ([ 0 ], [ 1 ]); ([], [ 2 ]); ([ 2 ], [ 3 ]) |]
   in
-  let go engine =
-    let sim = Sim.create ~engine ctx in
-    load sim;
-    let cycles = Sim.run sim in
-    (cycles, Sim.read_memory_ints sim "out")
+  Alcotest.(check (list int)) "levels" [ 0; 1; 0; 1 ]
+    (List.init 4 (Sched.level g));
+  let seen = ref [] in
+  Sched.mark_slot g 2;
+  Alcotest.(check int) "one reader" 1
+    (Sched.run g ~eval:(fun k -> seen := k :: !seen) ~max_passes:10);
+  Alcotest.(check (list int)) "only the second chain" [ 3 ] !seen
+
+(* Two writers of one slot: the reader sits above both of them. *)
+let test_shared_writers () =
+  let g =
+    Sched.build ~slots:3
+      ~nodes:[| ([], [ 0 ]); ([ 1 ], [ 0 ]); ([], [ 1 ]); ([ 0 ], [ 2 ]) |]
   in
-  let fc, fm = go `Fixpoint in
-  let sc, sm = go `Scheduled in
-  Alcotest.(check int) "cycles" fc sc;
-  Alcotest.(check (list int)) "output memory" fm sm
+  Alcotest.(check int) "first writer" 0 (Sched.level g 0);
+  Alcotest.(check int) "second writer" 1 (Sched.level g 1);
+  Alcotest.(check int) "reader" 2 (Sched.level g 3)
 
-(* Lowered (flat, FSM-driven) programs — no control tree at all. *)
-let test_lowered () =
-  List.iter
-    (fun ctx ->
-      let lowered = Pipelines.compile ctx in
-      let f, s = run_both lowered in
-      ignore f;
-      ignore s)
-    [
-      Progs.counter ~limit:4 ();
-      Progs.two_writes_seq ();
-      Progs.reduction_tree ~len:2 ();
-    ]
+(* Marking is idempotent while a node is queued, and a slot nobody reads
+   invalidates nothing. *)
+let test_marks () =
+  let g = Sched.build ~slots:3 ~nodes:[| ([ 0; 0 ], [ 1 ]); ([ 1 ], []) |] in
+  Sched.mark_node g 0;
+  Sched.mark_node g 0;
+  Sched.mark_slot g 0;
+  Alcotest.(check int) "queued once" 1
+    (Sched.run g ~eval:(fun _ -> ()) ~max_passes:10);
+  Sched.mark_slot g 2;
+  Alcotest.(check int) "unread slot" 0
+    (Sched.run g ~eval:(fun _ -> ()) ~max_passes:10)
 
-(* ------------------------------------------------------------------ *)
-(* Error-path parity                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let error_info run ctx engine =
-  let sim = Sim.create ~engine ctx in
-  match run sim with
-  | exception Sim.Conflict { cycle; message; snapshot } ->
-      Alcotest.(check bool) "snapshot non-empty" true (snapshot <> "");
-      ("conflict", cycle, message)
-  | exception Sim.Unstable { cycle; message; snapshot } ->
-      Alcotest.(check bool) "snapshot non-empty" true (snapshot <> "");
-      ("unstable", cycle, message)
-  | _ -> Alcotest.fail "expected a simulation error"
-
-let test_conflict_parity () =
-  let ctx = Progs.conflict_program () in
-  let run sim = Sim.run sim in
-  let fk, fc, fm = error_info run ctx `Fixpoint in
-  let sk, sc, sm = error_info run ctx `Scheduled in
-  Alcotest.(check string) "kind" "conflict" fk;
-  Alcotest.(check string) "same kind" fk sk;
-  Alcotest.(check int) "same cycle" fc sc;
-  Alcotest.(check string) "same message" fm sm
-
-let test_unstable_parity () =
-  let ctx = Progs.unstable_program () in
-  let run sim = Sim.run sim in
-  let fk, fc, fm = error_info run ctx `Fixpoint in
-  let sk, sc, sm = error_info run ctx `Scheduled in
-  Alcotest.(check string) "kind" "unstable" fk;
-  Alcotest.(check string) "same kind" fk sk;
-  Alcotest.(check int) "same cycle" fc sc;
-  Alcotest.(check string) "same message" fm sm
-
-(* ------------------------------------------------------------------ *)
-(* Engine plumbing                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_engine_accessor () =
-  let ctx = Progs.counter ~limit:2 () in
-  Alcotest.(check bool) "default is fixpoint" true
-    (Sim.engine (Sim.create ctx) = `Fixpoint);
-  Alcotest.(check bool) "scheduled reported" true
-    (Sim.engine (Sim.create ~engine:`Scheduled ctx) = `Scheduled)
-
-(* A test-bench register write behind the scheduler's back must be picked
-   up by the next settle (the touch_prim invalidation path). *)
-let test_testbench_write () =
-  let ctx = Progs.counter ~limit:10 () in
-  let go engine =
-    let sim = Sim.create ~engine ctx in
-    Sim.set_input sim "go" (Bitvec.one 1);
-    for _ = 1 to 8 do
-      Sim.cycle sim
-    done;
-    Sim.write_register sim "r" (Bitvec.of_int ~width:8 9);
-    let extra = ref 0 in
-    while not (Sim.done_seen sim) do
-      Sim.cycle sim;
-      incr extra
-    done;
-    (!extra, Bitvec.to_int64 (Sim.read_register sim "r"))
+(* A cycle {1, 2} between a source 0 and a sink 3: the members share a
+   component and a level, and ids are reverse topological. *)
+let test_components () =
+  let g =
+    Sched.build ~slots:4
+      ~nodes:
+        [| ([], [ 0 ]); ([ 0; 2 ], [ 1 ]); ([ 1 ], [ 2 ]); ([ 2 ], [ 3 ]) |]
   in
-  let fe, fr = go `Fixpoint in
-  let se, sr = go `Scheduled in
-  Alcotest.(check int) "same remaining cycles" fe se;
-  Alcotest.(check int64) "same final value" fr sr
+  Alcotest.(check int) "members share a component" (Sched.scc g 1)
+    (Sched.scc g 2);
+  Alcotest.(check int) "members share a level" (Sched.level g 1)
+    (Sched.level g 2);
+  Alcotest.(check bool) "members cyclic" true
+    (Sched.cyclic g 1 && Sched.cyclic g 2);
+  Alcotest.(check bool) "source and sink acyclic" false
+    (Sched.cyclic g 0 || Sched.cyclic g 3);
+  Alcotest.(check bool) "source id above the cycle" true
+    (Sched.scc g 0 > Sched.scc g 1);
+  Alcotest.(check bool) "sink id below the cycle" true
+    (Sched.scc g 3 < Sched.scc g 1);
+  Alcotest.(check (list int)) "levels" [ 0; 1; 1; 2 ]
+    (List.init 4 (Sched.level g))
 
-(* ev_iters under the scheduled engine counts touched nodes: positive on a
-   busy cycle, and bounded by work actually performed. *)
-let test_iters_stat () =
-  let ctx = Progs.counter ~limit:5 () in
-  let sim = Sim.create ~engine:`Scheduled ctx in
-  let total = ref 0 in
-  Sim.add_sink sim (fun ev -> total := !total + ev.Sim.ev_iters);
-  ignore (Sim.run sim);
-  Alcotest.(check bool) "touched nodes recorded" true (!total > 0)
+(* ------------------------------------------------------------------ *)
+(* Random graphs against a transitive-closure reference                *)
+(* ------------------------------------------------------------------ *)
+
+(* Up to 10 nodes over 6 slots, each reading and writing up to 3 slots. *)
+let graph_gen =
+  QCheck.Gen.(
+    let slots = list_size (int_bound 3) (int_bound 5) in
+    array_size (int_range 1 10) (pair slots slots))
+
+let graph_arb =
+  QCheck.make graph_gen ~print:(fun nodes ->
+      String.concat "; "
+        (Array.to_list
+           (Array.mapi
+              (fun k (r, w) ->
+                let ints l = String.concat "," (List.map string_of_int l) in
+                Printf.sprintf "%d: r[%s] w[%s]" k (ints r) (ints w))
+              nodes)))
+
+(* [edge.(p).(k)]: node p writes a slot node k reads. *)
+let edges nodes =
+  let n = Array.length nodes in
+  Array.init n (fun p ->
+      Array.init n (fun k ->
+          List.exists (fun s -> List.mem s (fst nodes.(k))) (snd nodes.(p))))
+
+let closure nodes =
+  let reach = Array.map Array.copy (edges nodes) in
+  let n = Array.length nodes in
+  for m = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if reach.(i).(m) && reach.(m).(j) then reach.(i).(j) <- true
+      done
+    done
+  done;
+  reach
+
+(* Components, cyclicity, reverse-topological ids and longest-path levels
+   all match a transitive-closure reference. *)
+let prop_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"random graphs match the reference"
+    graph_arb (fun nodes ->
+      let n = Array.length nodes in
+      let g = Sched.build ~slots:6 ~nodes in
+      let edge = edges nodes and reach = closure nodes in
+      let same i j = i = j || (reach.(i).(j) && reach.(j).(i)) in
+      let level = Array.make n 0 in
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            let want =
+              if same i j then level.(i)
+              else if edge.(i).(j) then level.(i) + 1
+              else 0
+            in
+            if want > level.(j) then begin
+              level.(j) <- want;
+              changed := true
+            end
+          done
+        done
+      done;
+      let ok = ref (Sched.node_count g = n) in
+      for i = 0 to n - 1 do
+        if Sched.cyclic g i <> reach.(i).(i) then ok := false;
+        if Sched.level g i <> level.(i) then ok := false;
+        for j = 0 to n - 1 do
+          if (Sched.scc g i = Sched.scc g j) <> same i j then ok := false;
+          if edge.(i).(j) && (not (same i j)) && Sched.scc g j >= Sched.scc g i
+          then ok := false
+        done
+      done;
+      !ok)
+
+(* One settle from all-dirty evaluates every node exactly once when no
+   value changes, writers of an edge between components before readers. *)
+let prop_settle_order =
+  QCheck.Test.make ~count:300 ~name:"random graphs settle in level order"
+    graph_arb (fun nodes ->
+      let n = Array.length nodes in
+      let g = Sched.build ~slots:6 ~nodes in
+      let edge = edges nodes in
+      let pos = Array.make n (-1) and next = ref 0 in
+      Sched.mark_all g;
+      let calls =
+        Sched.run g
+          ~eval:(fun k ->
+            if pos.(k) < 0 then pos.(k) <- !next;
+            incr next)
+          ~max_passes:10
+      in
+      let ok = ref (calls = n) in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          if edge.(i).(j) && Sched.scc g i <> Sched.scc g j && pos.(i) >= pos.(j)
+          then ok := false
+        done
+      done;
+      !ok)
 
 let () =
   Alcotest.run "sched"
@@ -286,27 +306,16 @@ let () =
           Alcotest.test_case "cycle converges" `Quick test_cycle_converges;
           Alcotest.test_case "cycle diverges" `Quick test_cycle_diverges;
           Alcotest.test_case "self edge" `Quick test_self_edge;
+          Alcotest.test_case "empty graph" `Quick test_empty;
+          Alcotest.test_case "chain levels" `Quick test_chain;
+          Alcotest.test_case "independent components" `Quick test_independent;
+          Alcotest.test_case "shared writers" `Quick test_shared_writers;
+          Alcotest.test_case "idempotent marks" `Quick test_marks;
+          Alcotest.test_case "component ids" `Quick test_components;
         ] );
-      ( "equivalence",
+      ( "random",
         [
-          Alcotest.test_case "counter" `Quick test_counter;
-          Alcotest.test_case "seq" `Quick test_seq;
-          Alcotest.test_case "par" `Quick test_par;
-          Alcotest.test_case "if" `Quick test_if;
-          Alcotest.test_case "hierarchy" `Quick test_hierarchy;
-          Alcotest.test_case "pipelined mult" `Quick test_mult;
-          Alcotest.test_case "reduction tree" `Quick test_reduction_tree;
-          Alcotest.test_case "lowered programs" `Quick test_lowered;
-        ] );
-      ( "errors",
-        [
-          Alcotest.test_case "conflict parity" `Quick test_conflict_parity;
-          Alcotest.test_case "unstable parity" `Quick test_unstable_parity;
-        ] );
-      ( "plumbing",
-        [
-          Alcotest.test_case "engine accessor" `Quick test_engine_accessor;
-          Alcotest.test_case "test-bench write" `Quick test_testbench_write;
-          Alcotest.test_case "iters stat" `Quick test_iters_stat;
+          QCheck_alcotest.to_alcotest prop_matches_reference;
+          QCheck_alcotest.to_alcotest prop_settle_order;
         ] );
     ]

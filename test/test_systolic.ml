@@ -196,6 +196,24 @@ let prop_random_matrices =
       ignore (Calyx_sim.Sim.run sim);
       read_result sim d = matmul a b)
 
+(* Degenerate dimensions are rejected by name instead of escaping as an
+   unrelated List.init error. *)
+let test_rejects_empty_dims () =
+  List.iter
+    (fun (name, d) ->
+      match Systolic.generate d with
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) name
+            (Printf.sprintf "systolic array: %s must be at least 1, got 0" name)
+            msg
+      | _ -> Alcotest.failf "%s = 0 accepted" name)
+    [
+      ("rows", { (square 2) with Systolic.rows = 0 });
+      ("cols", { (square 2) with Systolic.cols = 0 });
+      ("depth", { (square 2) with Systolic.depth = 0 });
+      ("width", { (square 2) with Systolic.width = 0 });
+    ]
+
 let () =
   Alcotest.run "systolic"
     [
@@ -210,6 +228,8 @@ let () =
           Alcotest.test_case "sizes 2 and 4 agree" `Slow test_sizes_agree;
           Alcotest.test_case "SAD processing element" `Quick test_sad_pe;
           QCheck_alcotest.to_alcotest prop_random_matrices;
+          Alcotest.test_case "rejects empty dimensions" `Quick
+            test_rejects_empty_dims;
         ] );
       ( "latency",
         [

@@ -290,6 +290,49 @@ let test_systolic () =
         (Validate.validate ~load lowered))
     [ (1, 1, 2); (2, 2, 3); (3, 3, 4) ]
 
+(* [against_sim] compares the simulation it is given rather than running
+   its own: one loaded with other inputs, or whose cycle count or state
+   differs from the RTL's, must be reported. *)
+let test_against_stale_inputs () =
+  let d = { Systolic.rows = 1; cols = 1; depth = 2; width = 32 } in
+  let lowered = Pipelines.compile (Systolic.generate d) in
+  let load base io =
+    Calyx_sim.Testbench.write_memory_ints io (Systolic.left_memory 0)
+      ~width:32 [ base; base + 1 ];
+    Calyx_sim.Testbench.write_memory_ints io (Systolic.top_memory 0)
+      ~width:32 [ base + 2; base + 3 ]
+  in
+  let sim = Calyx_sim.Sim.create lowered in
+  load 1 (Calyx_sim.Testbench.of_sim sim);
+  let cycles = Calyx_sim.Sim.run sim in
+  check_ok "same inputs" (Validate.against_sim ~load:(load 1) lowered ~sim ~cycles);
+  let r = Validate.against_sim ~load:(load 5) lowered ~sim ~cycles in
+  Alcotest.(check bool) "other inputs rejected" false r.Validate.ok;
+  Alcotest.(check bool) "memory mismatch reported" true
+    (List.exists (fun m -> m.Validate.kind = `Memory) r.Validate.mismatches);
+  Alcotest.(check bool) "cycle counts agree" false
+    (List.exists (fun m -> m.Validate.kind = `Cycles) r.Validate.mismatches)
+
+let test_against_tampered_state () =
+  let lowered = Pipelines.compile (parse_example "counter.futil") in
+  let sim = Calyx_sim.Sim.create lowered in
+  let cycles = Calyx_sim.Sim.run sim in
+  let r = Validate.against_sim lowered ~sim ~cycles:(cycles + 1) in
+  (match r.Validate.mismatches with
+  | [ m ] ->
+      Alcotest.(check string) "path" "cycles" m.Validate.path;
+      Alcotest.(check string) "sim cycles" (string_of_int (cycles + 1))
+        m.Validate.sim_value;
+      Alcotest.(check string) "rtl cycles" (string_of_int cycles)
+        m.Validate.rtl_value
+  | ms -> Alcotest.failf "expected one cycle mismatch, got %d" (List.length ms));
+  let r0 = Calyx_sim.Sim.read_register sim "r" in
+  Calyx_sim.Sim.write_register sim "r"
+    (Bitvec.of_int ~width:(Bitvec.width r0) (Bitvec.to_int r0 + 1));
+  let r = Validate.against_sim lowered ~sim ~cycles in
+  Alcotest.(check (list string)) "register mismatch" [ "r" ]
+    (List.map (fun m -> m.Validate.path) r.Validate.mismatches)
+
 (* ------------------------------------------------------------------ *)
 (* Random programs                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -394,6 +437,10 @@ let () =
           Alcotest.test_case "polybench (unrolled)" `Slow
             test_polybench_unrolled;
           Alcotest.test_case "systolic arrays" `Slow test_systolic;
+          Alcotest.test_case "against_sim: other inputs" `Quick
+            test_against_stale_inputs;
+          Alcotest.test_case "against_sim: tampered state" `Quick
+            test_against_tampered_state;
         ] );
       ( "fuzz",
         [

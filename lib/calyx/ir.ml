@@ -284,18 +284,14 @@ let iter_control_path f ctrl =
     f path c;
     match c with
     | Empty | Enable _ | Invoke _ -> ()
-    | Seq (cs, _) ->
-        List.iteri
-          (fun i c -> go (join path (Printf.sprintf "seq[%d]" i)) c)
-          cs
-    | Par (cs, _) ->
-        List.iteri
-          (fun i c -> go (join path (Printf.sprintf "par[%d]" i)) c)
-          cs
+    | Seq (cs, _) -> children path "seq[" cs
+    | Par (cs, _) -> children path "par[" cs
     | If r ->
         go (join path "if.then") r.tbranch;
         go (join path "if.else") r.fbranch
     | While r -> go (join path "while.body") r.body
+  and children path kind cs =
+    List.iteri (fun i c -> go (join path (kind ^ string_of_int i ^ "]")) c) cs
   in
   go "" ctrl
 

@@ -1,6 +1,7 @@
 open Ir
 module D = Diagnostics
 module SS = String_set
+module String_tbl = Hashtbl.Make (String)
 
 exception Rejected of D.t list
 
@@ -15,31 +16,40 @@ let port_key p = Format.asprintf "%a" pp_port_ref p
    reads, the outcome depends on the schedule — undefined behaviour. *)
 let par_races comp =
   let diags = ref [] in
-  let memo tbl f g =
-    match Hashtbl.find_opt tbl g with
-    | Some s -> s
-    | None ->
-        let s =
-          match find_group_opt comp g with Some gr -> f gr | None -> SS.empty
-        in
-        Hashtbl.replace tbl g s;
-        s
+  (* Each group's cell reads and writes, computed once; the first group of
+     a name wins. *)
+  let sets = Hashtbl.create 64 in
+  List.iter
+    (fun g ->
+      if not (Hashtbl.mem sets g.group_name) then
+        Hashtbl.add sets g.group_name
+          (lazy (Read_write_set.cell_reads g, Read_write_set.cell_writes g)))
+    comp.groups;
+  let set f g =
+    match Hashtbl.find_opt sets g with
+    | Some s -> f (Lazy.force s)
+    | None -> SS.empty
   in
-  let reads_tbl = Hashtbl.create 16 and writes_tbl = Hashtbl.create 16 in
-  let reads g = memo reads_tbl Read_write_set.cell_reads g in
-  let writes g = memo writes_tbl Read_write_set.cell_writes g in
+  let reads = set fst and writes = set snd in
   (* Stateful cells (registers, memories, pipelined units, subcomponents)
      expose last cycle's value on their outputs, so a concurrent
      read+write is the well-defined shift idiom systolic arrays rely on;
      only write/write is a race there. Combinational outputs reflect this
      cycle's inputs, so cross-arm read+write is schedule-dependent. *)
+  let combinational = Hashtbl.create 64 in
+  List.iter
+    (fun c ->
+      if not (Hashtbl.mem combinational c.cell_name) then
+        Hashtbl.add combinational c.cell_name
+          (match c.cell_proto with
+          | Prim (name, _) -> (
+              match Prims.find name with
+              | Some i -> i.combinational
+              | None -> false)
+          | Comp _ -> false))
+    comp.cells;
   let is_stateful c =
-    match find_cell_opt comp c with
-    | Some { cell_proto = Prim (name, _); _ } -> (
-        match Prims.find name with
-        | Some i -> not i.combinational
-        | None -> true)
-    | Some { cell_proto = Comp _; _ } | None -> true
+    not (Option.value ~default:false (Hashtbl.find_opt combinational c))
   in
   let reported = Hashtbl.create 16 in
   let report ~path fmt =
@@ -94,15 +104,53 @@ let par_races comp =
               read_write gb ga
             end
           in
-          let rec cross = function
-            | [] -> ()
-            | s :: rest ->
-                List.iter
-                  (fun s' -> SS.iter (fun ga -> SS.iter (pair ga) s') s)
-                  rest;
-                cross rest
+          (* Only arm pairs that share a group or a written cell, or where
+             one arm drives a combinational cell the other reads, can
+             report anything. An index from each such fact to the arms
+             holding it finds those pairs without visiting the others;
+             they are then checked group pair by group pair in the order
+             of a full sweep, so the diagnostics keep their order. *)
+          let arms = Array.of_list sets in
+          let index () = String_tbl.create 64 in
+          let groups = index () and written = index () and read = index () in
+          let comb_written = index () in
+          let note tbl key i =
+            String_tbl.replace tbl key
+              (i :: Option.value ~default:[] (String_tbl.find_opt tbl key))
           in
-          cross sets
+          Array.iteri
+            (fun i arm ->
+              let union f =
+                SS.fold (fun g acc -> SS.union acc (f g)) arm SS.empty
+              in
+              SS.iter (fun g -> note groups g i) arm;
+              SS.iter
+                (fun c ->
+                  note written c i;
+                  if not (is_stateful c) then note comb_written c i)
+                (union writes);
+              SS.iter (fun c -> note read c i) (union reads))
+            arms;
+          let candidates = Hashtbl.create 16 in
+          let candidate i j =
+            if i <> j then Hashtbl.replace candidates (min i j, max i j) ()
+          in
+          let all_pairs _ l =
+            List.iter (fun i -> List.iter (candidate i) l) l
+          in
+          String_tbl.iter all_pairs groups;
+          String_tbl.iter all_pairs written;
+          String_tbl.iter
+            (fun c writers ->
+              let readers =
+                Option.value ~default:[] (String_tbl.find_opt read c)
+              in
+              List.iter (fun i -> List.iter (candidate i) readers) writers)
+            comb_written;
+          Hashtbl.fold (fun p () acc -> p :: acc) candidates []
+          |> List.sort compare
+          |> List.iter (fun (i, j) ->
+                 SS.iter (fun ga -> SS.iter (pair ga) arms.(j)) arms.(i))
       | _ -> ())
     comp.control;
   List.rev !diags

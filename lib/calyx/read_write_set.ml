@@ -9,8 +9,7 @@ let registers comp =
       | _ -> acc)
     SS.empty comp.cells
 
-let reads comp group =
-  let regs = registers comp in
+let reads regs group =
   List.fold_left
     (fun acc a ->
       List.fold_left
@@ -21,8 +20,7 @@ let reads comp group =
         acc (assignment_atoms a))
     SS.empty group.assigns
 
-let may_writes comp group =
-  let regs = registers comp in
+let may_writes regs group =
   List.fold_left
     (fun acc a ->
       match a.dst with
@@ -51,8 +49,7 @@ let cell_writes group =
       match a.dst with Cell_port (c, _) -> SS.add c acc | _ -> acc)
     SS.empty group.assigns
 
-let must_writes comp group =
-  let regs = registers comp in
+let must_writes regs group =
   List.fold_left
     (fun acc a ->
       match (a.dst, a.guard, a.src) with

@@ -1,30 +1,24 @@
 open Ir
-module SS = String_set
-module SM = String_map
-
-let reg_width comp name =
-  match (find_cell comp name).cell_proto with
-  | Prim ("std_reg", [ w ]) -> w
-  | _ -> ir_error "register-sharing: %s is not a register" name
 
 let sharing_map (_ctx : context) comp =
-  let { Liveness.conflict_cliques; _ } = Liveness.analyze comp in
-  let regs = Read_write_set.registers comp in
-  let graph = Graph_coloring.create () in
-  SS.iter (Graph_coloring.add_node graph) regs;
-  List.iter
-    (fun clique -> Graph_coloring.add_clique graph (SS.elements clique))
-    conflict_cliques;
-  let cls name = string_of_int (reg_width comp name) in
+  let { Liveness.registers; conflict_cliques; _ } = Liveness.analyze comp in
+  let graph = Graph_coloring.of_nodes registers in
+  List.iter (Graph_coloring.add_clique_ids graph) conflict_cliques;
+  let widths = Hashtbl.create 64 in
   let order =
     List.filter_map
       (fun c ->
         match c.cell_proto with
-        | Prim ("std_reg", _) -> Some c.cell_name
+        | Prim ("std_reg", [ w ]) ->
+            if not (Hashtbl.mem widths c.cell_name) then
+              Hashtbl.add widths c.cell_name (string_of_int w);
+            Some c.cell_name
+        | Prim ("std_reg", _) ->
+            ir_error "register-sharing: %s is not a register" c.cell_name
         | _ -> None)
       comp.cells
   in
-  Graph_coloring.greedy graph ~cls ~order
+  Graph_coloring.greedy graph ~cls:(Hashtbl.find widths) ~order
 
 let share (ctx : context) comp =
   Resource_sharing.apply_map comp (sharing_map ctx comp)

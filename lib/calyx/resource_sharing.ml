@@ -57,11 +57,6 @@ let cost_guided proto =
   sharing_profit proto > mux_cost
 
 let sharing_map ?(profitable = fun _ -> true) ctx comp =
-  let candidates =
-    List.filter
-      (fun c -> shareable ctx c && profitable c.cell_proto)
-      comp.cells
-  in
   (* Cells referenced by continuous assignments are permanently in use. *)
   let continuous_cells =
     List.fold_left
@@ -76,30 +71,42 @@ let sharing_map ?(profitable = fun _ -> true) ctx comp =
   in
   let candidates =
     List.filter
-      (fun c -> not (SS.mem c.cell_name continuous_cells))
-      candidates
+      (fun c ->
+        shareable ctx c && profitable c.cell_proto
+        && not (SS.mem c.cell_name continuous_cells))
+      comp.cells
   in
   let candidate_names = SS.of_list (List.map (fun c -> c.cell_name) candidates) in
   let graph = Graph_coloring.create () in
   SS.iter (Graph_coloring.add_node graph) candidate_names;
-  let usage =
-    List.map (fun g -> (g.group_name, SS.inter (cells_used g) candidate_names))
-      comp.groups
-  in
-  (* Cells used within one group conflict. *)
+  let usage = Hashtbl.create 64 in
   List.iter
-    (fun (_, cells) -> Graph_coloring.add_clique graph (SS.elements cells))
-    usage;
-  (* Cells used by groups that may run in parallel conflict. *)
-  let usage_of g = Option.value ~default:SS.empty (List.assoc_opt g usage) in
+    (fun g ->
+      let cells = SS.inter (cells_used g) candidate_names in
+      (* Cells used within one group conflict. *)
+      Graph_coloring.add_clique graph (SS.elements cells);
+      if not (Hashtbl.mem usage g.group_name) then
+        Hashtbl.add usage g.group_name cells)
+    comp.groups;
+  (* Cells used by groups that may run in parallel conflict: for each
+     [par], every cell one arm uses conflicts with every cell another arm
+     uses. *)
+  let usage_of g = Option.value ~default:SS.empty (Hashtbl.find_opt usage g) in
   List.iter
-    (fun (g1, g2) ->
-      SS.iter
-        (fun c1 -> SS.iter (fun c2 -> Graph_coloring.add_edge graph c1 c2) (usage_of g2))
-        (usage_of g1))
-    (Schedule_conflicts.conflicts comp.control);
-  let cls name = proto_key (find_cell comp name).cell_proto in
-  Graph_coloring.greedy graph ~cls
+    (fun arms ->
+      let arm_cells groups =
+        SS.fold (fun g acc -> SS.union acc (usage_of g)) groups SS.empty
+      in
+      Graph_coloring.add_cross graph
+        (List.map (fun groups -> SS.elements (arm_cells groups)) arms))
+    (Schedule_conflicts.par_arms comp.control);
+  let protos = Hashtbl.create 64 in
+  List.iter
+    (fun c ->
+      if not (Hashtbl.mem protos c.cell_name) then
+        Hashtbl.add protos c.cell_name (proto_key c.cell_proto))
+    comp.cells;
+  Graph_coloring.greedy graph ~cls:(Hashtbl.find protos)
     ~order:
       (List.filter_map
          (fun c ->

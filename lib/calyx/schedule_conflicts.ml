@@ -12,30 +12,12 @@ let subtree_groups ctrl =
     ctrl;
   !acc
 
-let conflicts ctrl =
-  let pairs = ref [] in
+let par_arms ctrl =
+  let pars = ref [] in
   Ir.iter_control
     (function
       | Ir.Par (children, _) ->
-          let sets = List.map subtree_groups children in
-          let rec cross = function
-            | [] -> ()
-            | s :: rest ->
-                List.iter
-                  (fun s' ->
-                    SS.iter
-                      (fun a -> SS.iter (fun b -> pairs := (a, b) :: !pairs) s')
-                      s)
-                  rest;
-                cross rest
-          in
-          cross sets
+          pars := List.map subtree_groups children :: !pars
       | _ -> ())
     ctrl;
-  !pairs
-
-let conflict_graph ctrl =
-  let g = Graph_coloring.create () in
-  SS.iter (Graph_coloring.add_node g) (subtree_groups ctrl);
-  List.iter (fun (a, b) -> Graph_coloring.add_edge g a b) (conflicts ctrl);
-  g
+  List.rev !pars

@@ -1,15 +1,15 @@
 (** May-run-in-parallel analysis over the execution schedule (Section 5.1).
 
     Two groups conflict when the control program may activate them in the
-    same cycle: they live under different children of some [par] block.
+    same cycle: they live under different arms of some [par] block.
     Condition groups of [if]/[while] count as members of their subtree. *)
 
 val subtree_groups : Ir.control -> Ir.String_set.t
 (** Every group referenced in a control subtree (enables and [with]s). *)
 
-val conflicts : Ir.control -> (string * string) list
-(** All conflicting group pairs (each pair once, unordered). *)
-
-val conflict_graph : Ir.control -> Graph_coloring.t
-(** The same information as a graph over group names; all referenced groups
-    are present as nodes. *)
+val par_arms : Ir.control -> Ir.String_set.t list list
+(** For every [par] block in the subtree, in pre-order, the
+    {!subtree_groups} of each of its arms. Groups [a] and [b] conflict
+    exactly when some block lists them under two different arms; a
+    consumer unions per-arm facts once instead of enumerating the
+    (quadratically many) conflicting group pairs. *)

@@ -44,6 +44,15 @@ let component_diagnostics ctx comp =
   check_duplicates "group" (List.map (fun g -> g.group_name) comp.groups);
   check_duplicates "port"
     (List.map (fun pd -> pd.pd_name) (signature_ports comp));
+  (* Signature ports carry bit vectors too: 1 to 64 bits, like the ports
+     primitive parameters size below. *)
+  List.iter
+    (fun pd ->
+      if pd.pd_width < 1 || pd.pd_width > Bitvec.max_width then
+        error ~code:"CX002" ~loc:comp_loc
+          "port %s of component %s is %d bits wide, outside [1, %d]"
+          pd.pd_name comp.comp_name pd.pd_width Bitvec.max_width)
+    (signature_ports comp);
   (* Cells must instantiate known primitives or components. *)
   List.iter
     (fun c ->
@@ -83,48 +92,84 @@ let component_diagnostics ctx comp =
                 error ~code:"CX003" ~loc:(cell_loc c.cell_name)
                   "recursive instantiation of %s" name))
     comp.cells;
-  (* Port reference resolution + direction checks for assignments. *)
-  let group_exists g = find_group_opt comp g <> None in
+  (* Port reference resolution + direction checks for assignments, through
+     tables built once per component: the checks below run after every
+     pass. Each table keeps a name's first occurrence. *)
+  let first_wins tbl key v =
+    if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key v
+  in
+  let groups = Hashtbl.create 64 in
+  List.iter (fun g -> first_wins groups g.group_name ()) comp.groups;
+  let signature = Hashtbl.create 8 in
+  List.iter
+    (fun pd -> first_wins signature pd.pd_name pd)
+    (signature_ports comp);
+  (* prototype -> its port list and a name -> port table, or None when the
+     prototype does not resolve. *)
+  let proto_ports = Hashtbl.create 16 in
+  let ports_of proto =
+    match Hashtbl.find_opt proto_ports proto with
+    | Some r -> r
+    | None ->
+        let r =
+          match cell_ports ctx proto with
+          | exception (Ir_error _ | Prims.Unknown_primitive _) -> None
+          | ports ->
+              let by_name = Hashtbl.create 8 in
+              List.iter
+                (fun ((n, _, _) as port) -> first_wins by_name n port)
+                ports;
+              Some (ports, by_name)
+        in
+        Hashtbl.add proto_ports proto r;
+        r
+  in
+  (* cell name -> its prototype's ports, resolved on first use. *)
+  let cells = Hashtbl.create 64 in
+  List.iter
+    (fun c -> first_wins cells c.cell_name (lazy (ports_of c.cell_proto)))
+    comp.cells;
+  let group_exists g = Hashtbl.mem groups g in
+  (* [loc] is lazy: rendering an assignment's location formats its
+     destination, which only an error needs. *)
   let port_info ~loc p =
     (* Returns (width, is_readable, is_writable) or None with a problem. *)
     match p with
     | Hole (g, h) ->
         if not (group_exists g) then begin
-          error ~code:"CX004" ~loc "reference to hole of unknown group %s" g;
+          error ~code:"CX004" ~loc:(Lazy.force loc)
+            "reference to hole of unknown group %s" g;
           None
         end
         else if not (List.mem h [ "go"; "done" ]) then begin
-          error ~code:"CX004" ~loc "unknown hole %s[%s]" g h;
+          error ~code:"CX004" ~loc:(Lazy.force loc) "unknown hole %s[%s]" g
+            h;
           None
         end
         else Some (1, true, true)
     | This name -> (
-        match
-          List.find_opt
-            (fun pd -> String.equal pd.pd_name name)
-            (signature_ports comp)
-        with
+        match Hashtbl.find_opt signature name with
         | None ->
-            error ~code:"CX004" ~loc "unknown component port %s" name;
+            error ~code:"CX004" ~loc:(Lazy.force loc)
+              "unknown component port %s" name;
             None
         | Some pd ->
             (* Inside the component, inputs are read and outputs written. *)
             Some (pd.pd_width, pd.pd_dir = Input, pd.pd_dir = Output))
     | Cell_port (c, p) -> (
-        match find_cell_opt comp c with
+        match Hashtbl.find_opt cells c with
         | None ->
-            error ~code:"CX004" ~loc "reference to unknown cell %s" c;
+            error ~code:"CX004" ~loc:(Lazy.force loc)
+              "reference to unknown cell %s" c;
             None
-        | Some cell -> (
+        | Some ports -> (
             match
-              try
-                List.find_opt
-                  (fun (n, _, _) -> String.equal n p)
-                  (cell_ports ctx cell.cell_proto)
-              with Ir_error _ | Prims.Unknown_primitive _ -> None
+              Option.bind (Lazy.force ports) (fun (_, by_name) ->
+                  Hashtbl.find_opt by_name p)
             with
             | None ->
-                error ~code:"CX004" ~loc "cell %s has no port %s" c p;
+                error ~code:"CX004" ~loc:(Lazy.force loc)
+                  "cell %s has no port %s" c p;
                 None
             | Some (_, w, dir) ->
                 (* Outputs of cells are read; inputs are written. *)
@@ -135,27 +180,30 @@ let component_diagnostics ctx comp =
     | Lit v -> Some (Bitvec.width v, true, false)
   in
   let check_assignment group a =
-    let loc = assign_loc group a in
+    let loc = lazy (assign_loc group a) in
     (match port_info ~loc a.dst with
     | Some (_, _, false) ->
-        error ~code:"CX005" ~loc
+        error ~code:"CX005" ~loc:(Lazy.force loc)
           "%a is not writable (not a cell input or component output)"
           pp_port_ref a.dst
     | _ -> ());
     (match atom_info ~loc a.src with
     | Some (_, false, _) ->
-        error ~code:"CX005" ~loc "%a is not readable" pp_atom a.src
+        error ~code:"CX005" ~loc:(Lazy.force loc) "%a is not readable"
+          pp_atom a.src
     | _ -> ());
     (match (port_info ~loc a.dst, atom_info ~loc a.src) with
     | Some (dw, _, _), Some (sw, _, _) when dw <> sw ->
-        error ~code:"CX006" ~loc "width mismatch in %a = %a (%d vs %d)"
+        error ~code:"CX006" ~loc:(Lazy.force loc)
+          "width mismatch in %a = %a (%d vs %d)"
           pp_port_ref a.dst pp_atom a.src dw sw
     | _ -> ());
     List.iter
       (fun atom ->
         match atom_info ~loc atom with
         | Some (_, false, _) ->
-            error ~code:"CX005" ~loc "guard reads unreadable %a" pp_atom atom
+            error ~code:"CX005" ~loc:(Lazy.force loc)
+              "guard reads unreadable %a" pp_atom atom
         | _ -> ())
       (guard_atoms a.guard);
     let rec check_cmp_widths = function
@@ -163,7 +211,8 @@ let component_diagnostics ctx comp =
       | Cmp (_, x, y) -> (
           match (atom_info ~loc x, atom_info ~loc y) with
           | Some (wx, _, _), Some (wy, _, _) when wx <> wy ->
-              error ~code:"CX006" ~loc "comparison width mismatch %a vs %a"
+              error ~code:"CX006" ~loc:(Lazy.force loc)
+                "comparison width mismatch %a vs %a"
                 pp_atom x pp_atom y
           | _ -> ())
       | And (g1, g2) | Or (g1, g2) ->
@@ -208,7 +257,7 @@ let component_diagnostics ctx comp =
     | Some g when not (group_exists g) ->
         error ~code:"CX010" ~loc "unknown condition group %s" g
     | _ -> ());
-    match port_info ~loc cond_port with
+    match port_info ~loc:(Lazy.from_val loc) cond_port with
     | Some (w, _, _) when w <> 1 ->
         error ~code:"CX010" ~loc "condition port %a must be 1 bit wide, got %d"
           pp_port_ref cond_port w
@@ -228,12 +277,13 @@ let component_diagnostics ctx comp =
       | While { cond_group; cond_port; _ } ->
           check_cond ~loc cond_group cond_port
       | Invoke { cell; invoke_inputs; invoke_outputs; _ } -> (
-          match find_cell_opt comp cell with
+          match Hashtbl.find_opt cells cell with
           | None -> error ~code:"CX011" ~loc "invoke of unknown cell %s" cell
-          | Some c ->
+          | Some ports ->
               let ports =
-                try cell_ports ctx c.cell_proto
-                with Ir_error _ | Prims.Unknown_primitive _ -> []
+                match Lazy.force ports with
+                | Some (ports, _) -> ports
+                | None -> []
               in
               let has name dir =
                 List.exists
@@ -255,7 +305,7 @@ let component_diagnostics ctx comp =
                       if dir <> Input then
                         error ~code:"CX011" ~loc
                           "invoke of %s: %s is not an input" cell p;
-                      match atom_info ~loc a with
+                      match atom_info ~loc:(Lazy.from_val loc) a with
                       | Some (aw, _, _) when aw <> w ->
                           error ~code:"CX011" ~loc
                             "invoke of %s: width mismatch on %s (%d vs %d)"
@@ -280,7 +330,7 @@ let component_diagnostics ctx comp =
                       if dir <> Output then
                         error ~code:"CX011" ~loc
                           "invoke of %s: %s is not an output" cell p;
-                      match port_info ~loc dst with
+                      match port_info ~loc:(Lazy.from_val loc) dst with
                       | Some (_, _, false) ->
                           error ~code:"CX011" ~loc
                             "invoke of %s: destination %a is not writable"

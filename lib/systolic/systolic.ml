@@ -90,9 +90,17 @@ let generate ?pe d =
   let idx_w = clog2 (d.depth + 1) in
   let row_w = clog2 (max d.rows 2) in
   let col_w = clog2 (max d.cols 2) in
-  let pe_name r c = Printf.sprintf "pe_%d%d" r c in
-  let top_reg r c = Printf.sprintf "top_%d%d" r c in
-  let left_reg r c = Printf.sprintf "left_%d%d" r c in
+  (* Per-PE names join the row and column indices, each zero-padded to the
+     digit count of its own dimension's largest index, so they stay unique
+     at any size (and read "pe_23" up to 10x10). *)
+  let digits n = String.length (string_of_int (n - 1)) in
+  let row_digits = digits d.rows and col_digits = digits d.cols in
+  let at prefix r c =
+    Printf.sprintf "%s_%0*d%0*d" prefix row_digits r col_digits c
+  in
+  let pe_name = at "pe" in
+  let top_reg = at "top" in
+  let left_reg = at "left" in
   let idx_reg m = m ^ "_idx" in
   let idx_add m = m ^ "_add" in
   let grid f =
@@ -164,10 +172,10 @@ let generate ?pe d =
   in
   let feed_left r = Printf.sprintf "feed_l%d" r in
   let feed_top c = Printf.sprintf "feed_t%d" c in
-  let move_right r c = Printf.sprintf "right_%d%d" r c in
-  let move_down r c = Printf.sprintf "down_%d%d" r c in
-  let compute r c = Printf.sprintf "compute_%d%d" r c in
-  let drain r c = Printf.sprintf "drain_%d%d" r c in
+  let move_right = at "right" in
+  let move_down = at "down" in
+  let compute = at "compute" in
+  let drain = at "drain" in
   let groups =
     List.init d.rows (fun r ->
         feed_group (feed_left r) (left_memory r) (left_reg r 0))

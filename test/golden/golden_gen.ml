@@ -50,8 +50,34 @@ let instrument_names =
     "calyx_fuzz_programs_total";
   ]
 
+(* MD5 of the printed, fully lowered program for every example source,
+   every PolyBench kernel (sequential and unrolled) and the Fig 7 systolic
+   arrays N = 2..10: a compact byte-identity gate for the optimizer, whose
+   rewrites must not change a single printed byte. *)
+let lowered_digests sources =
+  let digest name ctx =
+    let printed = Calyx.Printer.to_string (Calyx.Pipelines.compile ctx) in
+    Printf.printf "%s %s\n" name (Digest.to_hex (Digest.string printed))
+  in
+  let dahlia src = Dahlia.To_calyx.compile (Dahlia.Parser.parse_string src) in
+  List.iter (fun file -> digest (Filename.basename file) (parse file)) sources;
+  List.iter
+    (fun (k : Polybench.Kernels.kernel) ->
+      digest ("polybench/" ^ k.name) (dahlia k.source);
+      Option.iter
+        (fun src -> digest ("polybench/" ^ k.name ^ "/unrolled") (dahlia src))
+        k.unrolled)
+    Polybench.Kernels.all;
+  for n = 2 to 10 do
+    digest
+      (Printf.sprintf "systolic/%dx%dx%d" n n n)
+      (Systolic.generate { rows = n; cols = n; depth = n; width = 32 })
+  done
+
 let () =
   match Sys.argv with
+  | argv when Array.length argv >= 2 && argv.(1) = "digests" ->
+      lowered_digests (List.tl (List.tl (Array.to_list argv)))
   | [| _; "print"; file |] ->
       print_string (Calyx.Printer.to_string (parse file))
   | [| _; "verilog"; file |] ->
@@ -81,5 +107,6 @@ let () =
       print_string (Tele.Metrics.to_openmetrics ~names:instrument_names ())
   | _ ->
       prerr_endline
-        "usage: golden_gen (print|verilog|timing|plan|trace|metrics) FILE";
+        "usage: golden_gen (print|verilog|timing|plan|trace|metrics) FILE | \
+         golden_gen digests FILE...";
       exit 2

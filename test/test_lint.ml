@@ -402,6 +402,22 @@ let test_prim_width_out_of_range () =
   has "std_reg(0)" "CX002" (wf (prog 0));
   clean "std_reg(64)" (wf (prog 64))
 
+let test_signature_width_out_of_range () =
+  let prog ports =
+    Parser.parse_string
+      (Printf.sprintf
+         "component main(%s) -> (done: 1) { cells {} wires {} control {} }"
+         ports)
+  in
+  has "input x: 100" "CX002" (wf (prog "go: 1, x: 100"));
+  has "input x: 0" "CX002" (wf (prog "go: 1, x: 0"));
+  clean "input x: 64" (wf (prog "go: 1, x: 64"));
+  (* The CLI turns [Malformed] into exit 1; before this check the
+     simulator died on the port with an uncaught [Bitvec.Width_error]. *)
+  match Calyx_sim.Sim.create (Pipelines.compile (prog "go: 1, x: 100")) with
+  | exception Well_formed.Malformed _ -> ()
+  | _ -> Alcotest.fail "a 100-bit signature port compiled"
+
 (* End-to-end: the corpus stays warning-free. *)
 let example file =
   (* dune runtest runs in the test directory; dune exec from the root. *)
@@ -487,6 +503,8 @@ let () =
             test_cond_port_not_readable;
           Alcotest.test_case "primitive width out of range" `Quick
             test_prim_width_out_of_range;
+          Alcotest.test_case "signature port width out of range" `Quick
+            test_signature_width_out_of_range;
         ] );
       ( "corpus",
         [

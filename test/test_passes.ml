@@ -410,15 +410,22 @@ let test_static_exact_latency () =
 
 let test_schedule_conflicts () =
   let ctx = Progs.reduction_tree () in
-  let conflicts = Schedule_conflicts.conflicts (entry ctx).control in
+  let pars = Schedule_conflicts.par_arms (entry ctx).control in
+  (* Two groups conflict when some par lists them under different arms. *)
   let has a b =
     List.exists
-      (fun (x, y) ->
-        (String.equal x a && String.equal y b)
-        || (String.equal x b && String.equal y a))
-      conflicts
+      (fun arms ->
+        List.exists
+          (fun (i, arm) ->
+            String_set.mem a arm
+            && List.exists
+                 (fun (j, arm') -> i <> j && String_set.mem b arm')
+                 (List.mapi (fun j s -> (j, s)) arms))
+          (List.mapi (fun i s -> (i, s)) arms))
+      pars
   in
   Alcotest.(check bool) "add0 vs add1" true (has "add0" "add1");
+  Alcotest.(check bool) "add1 vs add0" true (has "add1" "add0");
   Alcotest.(check bool) "add0 vs add2 disjoint" false (has "add0" "add2");
   Alcotest.(check bool) "cond vs add0 disjoint" false (has "cond" "add0")
 
@@ -435,6 +442,118 @@ let test_graph_coloring () =
     (not (String.equal (String_map.find "b" m) "a"));
   Alcotest.(check string) "c reuses a" "a" (String_map.find "c" m);
   Alcotest.(check string) "d reuses a" "a" (String_map.find "d" m)
+
+(* The list-based colourer the bitset one replaced, kept as its oracle:
+   each candidate representative (oldest first) is checked against every
+   member already assigned to it, over an explicit edge list. *)
+let reference_greedy ~edges ~cls ~order =
+  let conflicting a b =
+    List.exists (fun (x, y) -> (x = a && y = b) || (x = b && y = a)) edges
+  in
+  let members = Hashtbl.create 16 in
+  let reps = ref [] in
+  List.fold_left
+    (fun assignment node ->
+      let fits rep =
+        String.equal (cls rep) (cls node)
+        && List.for_all
+             (fun m -> not (conflicting m node))
+             (Option.value ~default:[] (Hashtbl.find_opt members rep))
+      in
+      let rep =
+        match List.find_opt fits (List.rev !reps) with
+        | Some r -> r
+        | None ->
+            reps := node :: !reps;
+            node
+      in
+      Hashtbl.replace members rep
+        (node :: Option.value ~default:[] (Hashtbl.find_opt members rep));
+      String_map.add node rep assignment)
+    String_map.empty order
+
+type coloring_op =
+  | Edge of int * int
+  | Clique of int list
+  | Cross of int list list
+
+(* Random graphs over up to 10 nodes built from edges, cliques and
+   multipartite crosses — self-edges, repeated nodes and repeated cliques
+   included — with 1 to 3 classes and an order that may skip or repeat
+   nodes. *)
+let arb_coloring =
+  let open QCheck.Gen in
+  let gen =
+    let* n = int_range 1 10 in
+    let node = int_bound (n - 1) in
+    let op =
+      frequency
+        [
+          (3, map2 (fun a b -> Edge (a, b)) node node);
+          (2, map (fun l -> Clique l) (list_size (int_bound 5) node));
+          ( 1,
+            map
+              (fun l -> Cross l)
+              (list_size (int_bound 3) (list_size (int_bound 3) node)) );
+        ]
+    in
+    let* ops = list_size (int_bound 12) op in
+    let* ops = map (fun dup -> if dup then ops @ ops else ops) bool in
+    let* classes = int_range 1 3 in
+    let* cls = array_size (return n) (int_bound (classes - 1)) in
+    let* order = list_size (int_bound (2 * n)) node in
+    return (n, ops, cls, order)
+  in
+  let print (n, ops, cls, order) =
+    let ints l = String.concat "," (List.map string_of_int l) in
+    Printf.sprintf "n=%d ops=[%s] cls=[%s] order=[%s]" n
+      (String.concat "; "
+         (List.map
+            (function
+              | Edge (a, b) -> Printf.sprintf "%d-%d" a b
+              | Clique l -> "clique " ^ ints l
+              | Cross ls -> "cross " ^ String.concat "|" (List.map ints ls))
+            ops))
+      (ints (Array.to_list cls)) (ints order)
+  in
+  QCheck.make ~print gen
+
+let prop_greedy_matches_reference =
+  QCheck.Test.make ~name:"bitset colouring = list colouring" ~count:500
+    arb_coloring (fun (n, ops, cls, order) ->
+      let name i = "n" ^ string_of_int i in
+      let g = Graph_coloring.create () in
+      for i = 0 to n - 1 do
+        Graph_coloring.add_node g (name i)
+      done;
+      let edges = ref [] in
+      let edge a b = if a <> b then edges := (name a, name b) :: !edges in
+      List.iter
+        (function
+          | Edge (a, b) ->
+              Graph_coloring.add_edge g (name a) (name b);
+              edge a b
+          | Clique l ->
+              Graph_coloring.add_clique g (List.map name l);
+              List.iter (fun a -> List.iter (edge a) l) l
+          | Cross parts ->
+              Graph_coloring.add_cross g (List.map (List.map name) parts);
+              List.iteri
+                (fun i p ->
+                  List.iteri
+                    (fun j q ->
+                      if i <> j then
+                        List.iter (fun a -> List.iter (edge a) q) p)
+                    parts)
+                parts)
+        ops;
+      let cls s =
+        string_of_int cls.(int_of_string (String.sub s 1 (String.length s - 1)))
+      in
+      let order = List.map name order in
+      String_map.equal String.equal
+        (Graph_coloring.greedy g ~cls ~order)
+        (reference_greedy ~edges:!edges ~cls ~order))
 
 (* --- pass algebra --- *)
 
@@ -566,6 +685,7 @@ let () =
         [
           Alcotest.test_case "schedule conflicts" `Quick test_schedule_conflicts;
           Alcotest.test_case "greedy coloring" `Quick test_graph_coloring;
+          QCheck_alcotest.to_alcotest prop_greedy_matches_reference;
         ] );
       ( "pass algebra",
         [

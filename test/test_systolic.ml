@@ -214,6 +214,30 @@ let test_rejects_empty_dims () =
       ("width", { (square 2) with Systolic.width = 0 });
     ]
 
+(* PE names join two indices; each is zero-padded to its own dimension's
+   digit count, so 12x12 no longer collides ("pe_1" ^ "10" vs "pe_11" ^
+   "0") and names up to 10x10 are unchanged. *)
+let test_large_arrays () =
+  let names d =
+    List.map (fun c -> c.Ir.cell_name) (Ir.entry (Systolic.generate d)).cells
+  in
+  let has d n =
+    Alcotest.(check bool) (n ^ " generated") true (List.mem n (names d))
+  in
+  has (square 10) "pe_99";
+  has (square 10) "left_09";
+  has (square 12) "pe_1100";
+  has (square 12) "top_0011";
+  has { (square 12) with Systolic.cols = 3 } "pe_110";
+  let got, expected, _ = run_compiled Pipelines.default_config (square 12) in
+  check_result "12x12 compiled" (square 12) got expected;
+  let lowered = Pipelines.compile (Systolic.generate (square 16)) in
+  Alcotest.(check int) "16x16 PEs" 256
+    (List.length
+       (List.filter
+          (fun c -> c.Ir.cell_proto = Ir.Comp "mac_pe")
+          (Ir.entry lowered).cells))
+
 let () =
   Alcotest.run "systolic"
     [
@@ -228,6 +252,7 @@ let () =
           Alcotest.test_case "sizes 2 and 4 agree" `Slow test_sizes_agree;
           Alcotest.test_case "SAD processing element" `Quick test_sad_pe;
           QCheck_alcotest.to_alcotest prop_random_matrices;
+          Alcotest.test_case "12x12 and 16x16 arrays" `Quick test_large_arrays;
           Alcotest.test_case "rejects empty dimensions" `Quick
             test_rejects_empty_dims;
         ] );

@@ -12,6 +12,7 @@
 
 open Calyx
 module Json = Calyx_telemetry.Json
+module Fjob = Calyx_farm.Job
 
 let geomean = function
   | [] -> nan
@@ -183,37 +184,27 @@ let sensitive_config =
 
 let systolic_sizes = [ 2; 3; 4; 5; 6; 7; 8 ]
 
-let systolic_ctx n config =
-  let d = { Systolic.rows = n; cols = n; depth = n; width = 32 } in
-  Pipelines.compile ~config (Systolic.generate d)
+(* Every paper row runs as a farm job: compile, simulate on the job's
+   test bench, check the result, time and size the design. *)
+let run_job ?config source = Fjob.run (Fjob.make ?config source)
 
-let systolic_cycles n config =
-  let ctx = systolic_ctx n config in
-  let sim = Calyx_sim.Sim.create ctx in
-  (* Deterministic input matrices; also verify the product. *)
-  let a = Array.init n (fun r -> Array.init n (fun k -> (((r * 3) + k) mod 9) + 1)) in
-  let b = Array.init n (fun k -> Array.init n (fun c -> (((k * 5) + c) mod 7) + 1)) in
-  for r = 0 to n - 1 do
-    Calyx_sim.Sim.write_memory_ints sim (Systolic.left_memory r) ~width:32
-      (Array.to_list a.(r))
-  done;
-  for c = 0 to n - 1 do
-    Calyx_sim.Sim.write_memory_ints sim (Systolic.top_memory c) ~width:32
-      (List.init n (fun k -> b.(k).(c)))
-  done;
-  let cycles = Calyx_sim.Sim.run sim in
-  let flat = Array.of_list (Calyx_sim.Sim.read_memory_ints sim Systolic.out_memory) in
-  let ok = ref true in
-  for r = 0 to n - 1 do
-    for c = 0 to n - 1 do
-      let expect = ref 0 in
-      for k = 0 to n - 1 do
-        expect := !expect + (a.(r).(k) * b.(k).(c))
-      done;
-      if flat.((r * n) + c) <> !expect then ok := false
-    done
-  done;
-  (cycles, !ok)
+let systolic n = Fjob.Systolic { rows = n; cols = n; depth = n }
+
+let kernel ?(unrolled = false) name =
+  Fjob.Polybench { kernel = name; unrolled }
+
+(* [Timing.wall_ns] of the job's design: cycles x the clamped period. *)
+let wall_ns (o : Fjob.outcome) =
+  float_of_int o.o_cycles
+  *. (float_of_int (max o.o_delay_ps Calyx_synth.Timing.min_period_ps) /. 1000.)
+
+(* A job's test bench for experiments that drive the simulator
+   themselves (phase-split timing, coverage, RTL statistics): its design
+   compiled under the job's configuration, its loader and its check. *)
+let bench_of ?config source =
+  let job = Fjob.make ?config source in
+  let ctx, load, check = Fjob.build job in
+  (Pipelines.compile ~config:job.config ctx, load, check)
 
 let hls_matmul n =
   let prog = Dahlia.Parser.parse_string (Hls_model.matmul_source ~n) in
@@ -226,20 +217,24 @@ let fig7a () =
   let ratios =
     List.map
       (fun n ->
-        let insens, ok1 = systolic_cycles n Pipelines.insensitive_config in
-        let sens, ok2 = systolic_cycles n sensitive_config in
+        let insens =
+          run_job ~config:Pipelines.insensitive_config (systolic n)
+        in
+        let sens = run_job ~config:sensitive_config (systolic n) in
+        let ok = insens.o_ok && sens.o_ok in
         let hls = (hls_matmul n).Hls_model.cycles in
-        let ratio = float_of_int hls /. float_of_int sens in
-        Printf.printf "%4d %12d %12d %10d %17.2fx %6s\n" n insens sens hls ratio
-          (if ok1 && ok2 then "ok" else "FAIL");
+        let ratio = float_of_int hls /. float_of_int sens.o_cycles in
+        Printf.printf "%4d %12d %12d %10d %17.2fx %6s\n" n insens.o_cycles
+          sens.o_cycles hls ratio
+          (if ok then "ok" else "FAIL");
         Record.row
           [
             ("n", Json.int n);
-            ("insensitive_cycles", Json.int insens);
-            ("sensitive_cycles", Json.int sens);
+            ("insensitive_cycles", Json.int insens.o_cycles);
+            ("sensitive_cycles", Json.int sens.o_cycles);
             ("hls_cycles", Json.int hls);
             ("hls_over_sensitive", Json.float ratio);
-            ("correct", Json.bool (ok1 && ok2));
+            ("correct", Json.bool ok);
           ];
         ratio)
       systolic_sizes
@@ -258,9 +253,7 @@ let fig7b () =
   let ratios =
     List.map
       (fun n ->
-        let luts config =
-          (Calyx_synth.Area.context_usage (systolic_ctx n config)).Calyx_synth.Area.luts
-        in
+        let luts config = (run_job ~config (systolic n)).o_luts in
         let li = luts Pipelines.insensitive_config in
         let ls = luts sensitive_config in
         let lh = (hls_matmul n).Hls_model.area.Calyx_synth.Area.luts in
@@ -287,8 +280,9 @@ let fig7_sensitive_effect () =
   let speedups =
     List.map
       (fun n ->
-        let insens, _ = systolic_cycles n Pipelines.insensitive_config in
-        let sens, _ = systolic_cycles n sensitive_config in
+        let cycles config = (run_job ~config (systolic n)).o_cycles in
+        let insens = cycles Pipelines.insensitive_config in
+        let sens = cycles sensitive_config in
         let s = float_of_int insens /. float_of_int sens in
         Printf.printf "%4d %12d %12d %9.2fx\n" n insens sens s;
         Record.row
@@ -323,13 +317,11 @@ let fig8 ~cycles () =
   let seq_ratios = ref [] and unr_ratios = ref [] in
   List.iter
     (fun k ->
-      let r = Polybench.Harness.run k ~unrolled:false in
+      let r = run_job (kernel k.Polybench.Kernels.name) in
       let h = kernel_hls k ~unrolled:false in
-      let metric (a : Polybench.Harness.result) (b : Hls_model.report) =
-        if cycles then (a.Polybench.Harness.cycles, b.Hls_model.cycles)
-        else
-          ( a.Polybench.Harness.area.Calyx_synth.Area.luts,
-            b.Hls_model.area.Calyx_synth.Area.luts )
+      let metric (a : Fjob.outcome) (b : Hls_model.report) =
+        if cycles then (a.o_cycles, b.Hls_model.cycles)
+        else (a.o_luts, b.Hls_model.area.Calyx_synth.Area.luts)
       in
       let c, hc = metric r h in
       let ratio = float_of_int c /. float_of_int hc in
@@ -338,13 +330,15 @@ let fig8 ~cycles () =
         match k.Polybench.Kernels.unrolled with
         | None -> (Printf.sprintf "%10s %10s %9s" "-" "-" "-", true, [])
         | Some _ ->
-            let ru = Polybench.Harness.run k ~unrolled:true in
+            let ru =
+              run_job (kernel ~unrolled:true k.Polybench.Kernels.name)
+            in
             let hu = kernel_hls k ~unrolled:true in
             let cu, hcu = metric ru hu in
             let ratio_u = float_of_int cu /. float_of_int hcu in
             unr_ratios := ratio_u :: !unr_ratios;
             ( Printf.sprintf "%10d %10d %8.2fx" cu hcu ratio_u,
-              ru.Polybench.Harness.correct,
+              ru.o_ok,
               [
                 ("calyx_unrolled", Json.int cu);
                 ("hls_unrolled", Json.int hcu);
@@ -353,7 +347,7 @@ let fig8 ~cycles () =
       in
       Printf.printf "%-12s %10d %10d %8.2fx  %s %6s\n" k.Polybench.Kernels.name
         c hc ratio unrolled_cols
-        (if r.Polybench.Harness.correct && ok_u then "ok" else "FAIL");
+        (if r.o_ok && ok_u then "ok" else "FAIL");
       Record.row
         ([
            ("kernel", Json.str k.Polybench.Kernels.name);
@@ -362,7 +356,7 @@ let fig8 ~cycles () =
            ("ratio", Json.float ratio);
          ]
         @ unrolled_fields
-        @ [ ("correct", Json.bool (r.Polybench.Harness.correct && ok_u)) ]))
+        @ [ ("correct", Json.bool (r.o_ok && ok_u)) ]))
     Polybench.Kernels.all;
   if cycles then
     Printf.printf
@@ -491,32 +485,21 @@ let fig9c () =
   let speedups =
     List.map
       (fun k ->
-        let insens =
-          Polybench.Harness.run ~config:Pipelines.insensitive_config k
-            ~unrolled:false
-        in
-        let sens =
-          Polybench.Harness.run ~config:sensitive_config k ~unrolled:false
-        in
-        let s =
-          float_of_int insens.Polybench.Harness.cycles
-          /. float_of_int sens.Polybench.Harness.cycles
-        in
+        let source = kernel k.Polybench.Kernels.name in
+        let insens = run_job ~config:Pipelines.insensitive_config source in
+        let sens = run_job ~config:sensitive_config source in
+        let s = float_of_int insens.o_cycles /. float_of_int sens.o_cycles in
+        let ok = insens.o_ok && sens.o_ok in
         Printf.printf "%-12s %12d %12d %9.2fx %6s\n" k.Polybench.Kernels.name
-          insens.Polybench.Harness.cycles sens.Polybench.Harness.cycles s
-          (if insens.Polybench.Harness.correct && sens.Polybench.Harness.correct
-           then "ok"
-           else "FAIL");
+          insens.o_cycles sens.o_cycles s
+          (if ok then "ok" else "FAIL");
         Record.row
           [
             ("kernel", Json.str k.Polybench.Kernels.name);
-            ("insensitive_cycles", Json.int insens.Polybench.Harness.cycles);
-            ("sensitive_cycles", Json.int sens.Polybench.Harness.cycles);
+            ("insensitive_cycles", Json.int insens.o_cycles);
+            ("sensitive_cycles", Json.int sens.o_cycles);
             ("speedup", Json.float s);
-            ( "correct",
-              Json.bool
-                (insens.Polybench.Harness.correct
-                && sens.Polybench.Harness.correct) );
+            ("correct", Json.bool ok);
           ];
         s)
       Polybench.Kernels.all
@@ -690,37 +673,8 @@ let engines () =
       ]
   in
   List.iter
-    (fun n ->
-      let ctx = systolic_ctx n Pipelines.insensitive_config in
-      let run engine () =
-        Gc.full_major ();
-        let sim, create_s = time (fun () -> Calyx_sim.Sim.create ~engine ctx) in
-        let cycles, sim_s =
-          time (fun () ->
-              for r = 0 to n - 1 do
-                Calyx_sim.Sim.write_memory_ints sim (Systolic.left_memory r)
-                  ~width:32
-                  (List.init n (fun k -> (((r * 3) + k) mod 9) + 1))
-              done;
-              for c = 0 to n - 1 do
-                Calyx_sim.Sim.write_memory_ints sim (Systolic.top_memory c)
-                  ~width:32
-                  (List.init n (fun k -> (((k * 5) + c) mod 7) + 1))
-              done;
-              Calyx_sim.Sim.run sim)
-        in
-        (cycles, create_s, sim_s)
-      in
-      report
-        (Printf.sprintf "systolic-%dx%d" n n)
-        (best_phased (run `Fixpoint))
-        (best_phased (run `Compiled)))
-    [ 4; 8 ];
-  List.iter
-    (fun name ->
-      let k = Polybench.Kernels.find name in
-      let prog = Polybench.Harness.program k ~unrolled:false in
-      let lowered = Pipelines.compile (Dahlia.To_calyx.compile prog) in
+    (fun (name, config, source) ->
+      let lowered, load, check = bench_of ~config source in
       let run engine () =
         Gc.full_major ();
         let sim, create_s =
@@ -729,16 +683,23 @@ let engines () =
         let io = Calyx_sim.Testbench.of_sim sim in
         let cycles, sim_s =
           time (fun () ->
-              Polybench.Harness.load_inputs k prog io;
+              load io;
               Calyx_sim.Sim.run sim)
         in
-        assert (Polybench.Harness.verify k prog io = []);
+        assert (check io = []);
         (cycles, create_s, sim_s)
       in
       report name
         (best_phased (run `Fixpoint))
         (best_phased (run `Compiled)))
-    [ "gemm"; "gemver"; "atax" ];
+    (List.map
+       (fun n ->
+         (Printf.sprintf "systolic-%dx%d" n n, Pipelines.insensitive_config,
+          systolic n))
+       [ 4; 8 ]
+    @ List.map
+        (fun name -> (name, Pipelines.default_config, kernel name))
+        [ "gemm"; "gemver"; "atax" ]);
   let below_floor = !systolic8_total < systolic8_floor_x in
   Printf.printf
     "geomean comp/fix %.2fx simulation, %.2fx instantiate + run; \
@@ -850,36 +811,23 @@ let telemetry_bench () =
       [ (`Fixpoint, "fixpoint"); (`Compiled, "compiled") ]
   in
   List.iter
-    (fun n ->
-      let ctx = systolic_ctx n Pipelines.insensitive_config in
+    (fun (name, config, source) ->
+      let lowered, load, check = bench_of ~config source in
       let run engine () =
-        let sim = Calyx_sim.Sim.create ~engine ctx in
-        for r = 0 to n - 1 do
-          Calyx_sim.Sim.write_memory_ints sim (Systolic.left_memory r)
-            ~width:32
-            (List.init n (fun k -> (((r * 3) + k) mod 9) + 1))
-        done;
-        for c = 0 to n - 1 do
-          Calyx_sim.Sim.write_memory_ints sim (Systolic.top_memory c)
-            ~width:32
-            (List.init n (fun k -> (((k * 5) + c) mod 7) + 1))
-        done;
-        Calyx_sim.Sim.run sim
-      in
-      report (Printf.sprintf "systolic-%dx%d" n n) run)
-    [ 4 ];
-  List.iter
-    (fun name ->
-      let k = Polybench.Kernels.find name in
-      let prog = Polybench.Harness.program k ~unrolled:false in
-      let lowered = Pipelines.compile (Dahlia.To_calyx.compile prog) in
-      let run engine () =
-        let cycles, bad = Polybench.Harness.execute ~engine k prog lowered in
-        assert (bad = []);
+        let sim = Calyx_sim.Sim.create ~engine lowered in
+        let io = Calyx_sim.Testbench.of_sim sim in
+        load io;
+        let cycles = Calyx_sim.Sim.run sim in
+        assert (check io = []);
         cycles
       in
       report name run)
-    [ "gemm" ];
+    [
+      ("systolic-4x4", Pipelines.insensitive_config, systolic 4);
+      ( "gemm",
+        Pipelines.default_config,
+        kernel "gemm" );
+    ];
   Printf.printf
     "\n%d/%d rows within the %.0f%% disabled-overhead budget; %d cycle \
      mismatch(es) between enabled and disabled runs\n"
@@ -906,7 +854,7 @@ let cover () =
     let ctx = Pass.run Compile_invoke.pass ctx in
     let sim = Calyx_sim.Sim.create ctx in
     let cov = Calyx_cover.Coverage.create ctx sim in
-    load sim;
+    load (Calyx_sim.Testbench.of_sim sim);
     let cycles = Calyx_sim.Sim.run sim in
     let groups = Calyx_cover.Coverage.group_pct cov in
     let overall = Calyx_cover.Coverage.overall_pct cov in
@@ -925,21 +873,8 @@ let cover () =
   in
   List.iter
     (fun n ->
-      let d = { Systolic.rows = n; cols = n; depth = n; width = 32 } in
-      one
-        (Printf.sprintf "systolic-%dx%d" n n)
-        (Systolic.generate d)
-        (fun sim ->
-          for r = 0 to n - 1 do
-            Calyx_sim.Sim.write_memory_ints sim (Systolic.left_memory r)
-              ~width:32
-              (List.init n (fun k -> (((r * 3) + k) mod 9) + 1))
-          done;
-          for c = 0 to n - 1 do
-            Calyx_sim.Sim.write_memory_ints sim (Systolic.top_memory c)
-              ~width:32
-              (List.init n (fun k -> (((k * 5) + c) mod 7) + 1))
-          done))
+      let ctx, load, _ = Fjob.build (Fjob.make (systolic n)) in
+      one (Printf.sprintf "systolic-%dx%d" n n) ctx load)
     [ 2; 4 ];
   Record.summary "min_group_pct" !min_group
 
@@ -959,37 +894,23 @@ let timing_bench () =
   let wall_speedups = ref [] in
   List.iter
     (fun k ->
-      let insens =
-        Polybench.Harness.run ~config:Pipelines.insensitive_config k
-          ~unrolled:false
-      in
-      let sens =
-        Polybench.Harness.run ~config:sensitive_config k ~unrolled:false
-      in
-      let s = insens.Polybench.Harness.wall_ns /. sens.Polybench.Harness.wall_ns in
+      let source = kernel k.Polybench.Kernels.name in
+      let insens = run_job ~config:Pipelines.insensitive_config source in
+      let sens = run_job ~config:sensitive_config source in
+      let s = wall_ns insens /. wall_ns sens in
       wall_speedups := s :: !wall_speedups;
       Printf.printf "%-12s %9.1f %9.1f %10.1f %9.1f %9d %10d %7.2fx\n"
-        k.Polybench.Kernels.name
-        insens.Polybench.Harness.timing.Calyx_synth.Timing.fmax_mhz
-        sens.Polybench.Harness.timing.Calyx_synth.Timing.fmax_mhz
-        insens.Polybench.Harness.wall_ns sens.Polybench.Harness.wall_ns
-        insens.Polybench.Harness.cycles sens.Polybench.Harness.cycles s;
+        k.Polybench.Kernels.name insens.o_fmax_mhz sens.o_fmax_mhz
+        (wall_ns insens) (wall_ns sens) insens.o_cycles sens.o_cycles s;
       Record.row
         [
           ("kernel", Json.str k.Polybench.Kernels.name);
-          ( "insensitive_delay_ps",
-            Json.int insens.Polybench.Harness.timing.Calyx_synth.Timing.delay_ps
-          );
-          ( "sensitive_delay_ps",
-            Json.int sens.Polybench.Harness.timing.Calyx_synth.Timing.delay_ps );
-          ( "insensitive_fmax_mhz",
-            Json.float
-              insens.Polybench.Harness.timing.Calyx_synth.Timing.fmax_mhz );
-          ( "sensitive_fmax_mhz",
-            Json.float
-              sens.Polybench.Harness.timing.Calyx_synth.Timing.fmax_mhz );
-          ("insensitive_wall_ns", Json.float insens.Polybench.Harness.wall_ns);
-          ("sensitive_wall_ns", Json.float sens.Polybench.Harness.wall_ns);
+          ("insensitive_delay_ps", Json.int insens.o_delay_ps);
+          ("sensitive_delay_ps", Json.int sens.o_delay_ps);
+          ("insensitive_fmax_mhz", Json.float insens.o_fmax_mhz);
+          ("sensitive_fmax_mhz", Json.float sens.o_fmax_mhz);
+          ("insensitive_wall_ns", Json.float (wall_ns insens));
+          ("sensitive_wall_ns", Json.float (wall_ns sens));
           ("wall_speedup", Json.float s);
         ])
     Polybench.Kernels.all;
@@ -997,26 +918,19 @@ let timing_bench () =
     "s-wall_ns";
   List.iter
     (fun n ->
-      let measure config =
-        let ctx = systolic_ctx n config in
-        let cycles, _ = systolic_cycles n config in
-        let t = Calyx_synth.Timing.context_timing ~paths:1 ctx in
-        (t, Calyx_synth.Timing.wall_ns t ~cycles)
-      in
-      let ti, wi = measure Pipelines.insensitive_config in
-      let ts, ws = measure sensitive_config in
-      Printf.printf "%4d %9.1f %9.1f %12.1f %12.1f\n" n
-        ti.Calyx_synth.Timing.fmax_mhz ts.Calyx_synth.Timing.fmax_mhz wi ws;
+      let ti = run_job ~config:Pipelines.insensitive_config (systolic n) in
+      let ts = run_job ~config:sensitive_config (systolic n) in
+      Printf.printf "%4d %9.1f %9.1f %12.1f %12.1f\n" n ti.o_fmax_mhz
+        ts.o_fmax_mhz (wall_ns ti) (wall_ns ts);
       Record.row
         [
           ("n", Json.int n);
-          ("insensitive_delay_ps", Json.int ti.Calyx_synth.Timing.delay_ps);
-          ("sensitive_delay_ps", Json.int ts.Calyx_synth.Timing.delay_ps);
-          ( "insensitive_fmax_mhz",
-            Json.float ti.Calyx_synth.Timing.fmax_mhz );
-          ("sensitive_fmax_mhz", Json.float ts.Calyx_synth.Timing.fmax_mhz);
-          ("insensitive_wall_ns", Json.float wi);
-          ("sensitive_wall_ns", Json.float ws);
+          ("insensitive_delay_ps", Json.int ti.o_delay_ps);
+          ("sensitive_delay_ps", Json.int ts.o_delay_ps);
+          ("insensitive_fmax_mhz", Json.float ti.o_fmax_mhz);
+          ("sensitive_fmax_mhz", Json.float ts.o_fmax_mhz);
+          ("insensitive_wall_ns", Json.float (wall_ns ti));
+          ("sensitive_wall_ns", Json.float (wall_ns ts));
         ])
     systolic_sizes;
   Printf.printf "geomean wall-clock speedup from Sensitive: %.2fx\n"
@@ -1126,33 +1040,20 @@ let validate () =
         ("rtl_procs", Json.int r.Calyx_verilog.Validate.procs);
       ]
   in
+  (* Each design on its job's test bench; the RTL's and the simulator's
+     final state must also pass the job's golden check. *)
   List.iter
-    (fun name ->
-      let k = Polybench.Kernels.find name in
-      let r = Polybench.Harness.run_rtl k ~unrolled:false in
-      if not (Polybench.Harness.rtl_ok r) then incr disagreements;
-      emit name r.Polybench.Harness.report)
-    [ "gemm"; "atax"; "mvt"; "cholesky"; "gramschmidt"; "trisolv" ];
-  List.iter
-    (fun n ->
-      let d = { Systolic.rows = n; cols = n; depth = n; width = 32 } in
-      let lowered = Pipelines.compile (Systolic.generate d) in
-      let load io =
-        for r = 0 to n - 1 do
-          Calyx_sim.Testbench.write_memory_ints io (Systolic.left_memory r)
-            ~width:32
-            (List.init n (fun k -> (((r * 3) + k) mod 9) + 1))
-        done;
-        for c = 0 to n - 1 do
-          Calyx_sim.Testbench.write_memory_ints io (Systolic.top_memory c)
-            ~width:32
-            (List.init n (fun k -> (((k * 5) + c) mod 7) + 1))
-        done
-      in
-      emit
-        (Printf.sprintf "systolic-%dx%d" n n)
-        (Calyx_verilog.Validate.validate ~load lowered))
-    [ 2; 4 ];
+    (fun (name, source) ->
+      let lowered, load, check = bench_of source in
+      let r = Calyx_verilog.Validate.validate ~load lowered in
+      if check r.sim_io <> [] || check r.rtl_io <> [] then incr disagreements;
+      emit name r)
+    (List.map
+       (fun name -> (name, kernel name))
+       [ "gemm"; "atax"; "mvt"; "cholesky"; "gramschmidt"; "trisolv" ]
+    @ List.map
+        (fun n -> (Printf.sprintf "systolic-%dx%d" n n, systolic n))
+        [ 2; 4 ]);
   (* A fixed fuzz sweep: agreement count is a deterministic metric. *)
   let fuzz_total = 100 in
   let fuzz_ok = ref 0 in

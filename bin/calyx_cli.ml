@@ -313,6 +313,60 @@ let parse_source file =
   end
   else parse_calyx file
 
+(* Kernel names are resolved here, once, so a misspelt name is a usage
+   error (exit 1) rather than a [Not_found] escaping a farm job. *)
+let find_kernel name =
+  match Polybench.Kernels.find name with
+  | k -> k
+  | exception Not_found ->
+      failwith
+        (Printf.sprintf "unknown kernel %s (available: %s)" name
+           (String.concat ", "
+              (List.map
+                 (fun k -> k.Polybench.Kernels.name)
+                 Polybench.Kernels.all)))
+
+let select_kernels ~unrolled = function
+  | Some name -> [ find_kernel name ]
+  | None ->
+      if unrolled then Polybench.Kernels.unrollable else Polybench.Kernels.all
+
+(* Shrink a failing fuzz program to a local minimum of [fails] (a
+   sequential search, each step depending on the last, so it stays on the
+   calling domain) and write it to DIR/fuzz_SEED.futil with the failure
+   as a comment. [verdict] labels the failure on stdout, [what] in the
+   file. *)
+let write_counterexample ~fails ~dir ~verdict ~what seed descr =
+  let rec minimize (spec, descr) =
+    match
+      List.find_map
+        (fun c -> Option.map (fun d -> (c, d)) (fails c))
+        (Calyx.Fuzz_gen.shrink spec)
+    with
+    | Some smaller -> minimize smaller
+    | None -> (spec, descr)
+  in
+  let spec, descr = minimize (Calyx.Fuzz_gen.spec_of_seed seed, descr) in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let path = Filename.concat dir (Printf.sprintf "fuzz_%d.futil" seed) in
+  let comment =
+    String.concat "\n"
+      (List.map
+         (fun l -> "// " ^ l)
+         (String.split_on_char '\n' (what ^ ": " ^ descr)))
+  in
+  write_file path
+    (Printf.sprintf "// seed: %d\n// spec: %s\n%s\n%s" seed
+       (Calyx.Fuzz_gen.to_string spec)
+       comment
+       (Calyx.Printer.to_string (Calyx.Fuzz_gen.build spec)));
+  Format.printf
+    "fuzz seed %d             %s: %s@.  minimized counterexample (%d \
+     nodes): %s@.  written to %s@."
+    seed verdict descr (Calyx.Fuzz_gen.size spec)
+    (Calyx.Fuzz_gen.to_string spec)
+    path
+
 (* ------------------------------------------------------------------ *)
 (* Subcommands                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -487,7 +541,6 @@ let systolic_cmd =
   let run rows cols depth config emit execute tele =
     with_telemetry tele @@ fun () ->
     handle_errors (fun () ->
-        let d = { Systolic.rows; cols; depth; width = 32 } in
         if Tele.Runtime.on () then
           Tele.Manifest.set_run
             ~source:(Printf.sprintf "systolic-%dx%dx%d" rows cols depth)
@@ -495,79 +548,75 @@ let systolic_cmd =
               (Tele.Manifest.hash
                  (Printf.sprintf "systolic %d %d %d 32" rows cols depth))
             ~pipeline:(Calyx.Pipelines.id config) ();
-        let ctx =
+        (* The farm's systolic test bench: its matrices, loader and
+           C = A.B check. *)
+        let ctx, load, check =
           Tele.Trace.with_span ~cat:"stage" "generate" (fun () ->
-              try Systolic.generate d with Invalid_argument msg -> failwith msg)
+              try Fjob.build (Fjob.make (Fjob.Systolic { rows; cols; depth }))
+              with Invalid_argument msg -> failwith msg)
         in
+        let lowered = Calyx.Pipelines.compile ~config ctx in
         if execute then begin
-          let lowered = Calyx.Pipelines.compile ~config ctx in
           let sim = Calyx_sim.Sim.create lowered in
-          (* Identity-ish test data. *)
-          for r = 0 to rows - 1 do
-            Calyx_sim.Sim.write_memory_ints sim (Systolic.left_memory r)
-              ~width:32
-              (List.init depth (fun k -> r + k + 1))
-          done;
-          for c = 0 to cols - 1 do
-            Calyx_sim.Sim.write_memory_ints sim (Systolic.top_memory c)
-              ~width:32
-              (List.init depth (fun k -> (2 * k) + c + 1))
-          done;
+          let io = Calyx_sim.Testbench.of_sim sim in
+          load io;
           let cycles = Calyx_sim.Sim.run sim in
           Printf.printf "cycles: %d\n" cycles;
-          dump_externals sim
+          dump_externals sim;
+          match check io with
+          | [] -> print_endline "check: C = A*B ok"
+          | bad -> failwith ("check: " ^ String.concat "; " bad)
         end
-        else output (Calyx.Pipelines.compile ~config ctx) emit)
+        else output lowered emit)
   in
   let dim name = Arg.(value & opt int 4 & info [ name ] ~docv:"N" ~doc:(name ^ " of the array")) in
   Cmd.v
     (Cmd.info "systolic" ~doc:"Generate a matrix-multiply systolic array (Section 6.1).")
     Term.(const run $ dim "rows" $ dim "cols" $ dim "depth" $ config_term
           $ emit_term
-          $ Arg.(value & flag & info [ "run" ] ~doc:"Simulate with test data.")
+          $ Arg.(value & flag & info [ "run" ] ~doc:"Simulate on the farm's deterministic matrices and check C = A*B.")
           $ telemetry_term)
 
 let polybench_cmd =
   let run kernel unrolled engine farm_jobs cache_dir config tele =
     with_telemetry tele @@ fun () ->
-    handle_errors (fun () ->
-        let kernels =
-          match kernel with
-          | Some name -> [ Polybench.Kernels.find name ]
-          | None ->
-              if unrolled then Polybench.Kernels.unrollable
-              else Polybench.Kernels.all
-        in
-        (* Kernels are submitted through the farm: they compile and
-           simulate [--jobs] at a time (and short-circuit through the
-           result cache under --cache), while the table stays in kernel
-           order because farm results come back in submission order. *)
-        let jobs =
-          List.map
-            (fun k ->
-              Fjob.make ~config ~engine
-                (Fjob.Polybench
-                   { kernel = k.Polybench.Kernels.name; unrolled }))
-            kernels
-        in
-        let cache = Option.map Fcache.open_dir cache_dir in
-        let summary = Farm.run ?jobs:farm_jobs ?cache jobs in
-        Printf.printf "%-12s %10s %8s %8s %6s %9s %10s  %s\n" "kernel" "cycles"
-          "LUTs" "regs" "DSPs" "Fmax_MHz" "wall_ns" "check";
-        List.iter
-          (fun r ->
-            let o = r.Farm.outcome in
-            let wall_ns =
-              if o.Fjob.o_fmax_mhz > 0. then
-                float_of_int o.Fjob.o_cycles *. 1000. /. o.Fjob.o_fmax_mhz
-              else 0.
-            in
-            Printf.printf "%-12s %10d %8d %8d %6d %9.1f %10.1f  %s\n"
-              o.Fjob.o_label o.Fjob.o_cycles o.Fjob.o_luts
-              o.Fjob.o_register_bits o.Fjob.o_dsps o.Fjob.o_fmax_mhz wall_ns
-              (if o.Fjob.o_ok then "ok"
-               else "MISMATCH: " ^ String.concat "; " o.Fjob.o_diagnostics))
-          summary.Farm.results)
+    let failed = ref false in
+    let code =
+      handle_errors (fun () ->
+          let kernels = select_kernels ~unrolled kernel in
+          (* Kernels are submitted through the farm: they compile and
+             simulate [--jobs] at a time (and short-circuit through the
+             result cache under --cache), while the table stays in kernel
+             order because farm results come back in submission order. *)
+          let jobs =
+            List.map
+              (fun k ->
+                Fjob.make ~config ~engine
+                  (Fjob.Polybench
+                     { kernel = k.Polybench.Kernels.name; unrolled }))
+              kernels
+          in
+          let cache = Option.map Fcache.open_dir cache_dir in
+          let summary = Farm.run ?jobs:farm_jobs ?cache jobs in
+          Printf.printf "%-12s %10s %8s %8s %6s %9s %10s  %s\n" "kernel"
+            "cycles" "LUTs" "regs" "DSPs" "Fmax_MHz" "wall_ns" "check";
+          List.iter
+            (fun r ->
+              let o = r.Farm.outcome in
+              let wall_ns =
+                if o.Fjob.o_fmax_mhz > 0. then
+                  float_of_int o.Fjob.o_cycles *. 1000. /. o.Fjob.o_fmax_mhz
+                else 0.
+              in
+              if not o.Fjob.o_ok then failed := true;
+              Printf.printf "%-12s %10d %8d %8d %6d %9.1f %10.1f  %s\n"
+                o.Fjob.o_label o.Fjob.o_cycles o.Fjob.o_luts
+                o.Fjob.o_register_bits o.Fjob.o_dsps o.Fjob.o_fmax_mhz wall_ns
+                (if o.Fjob.o_ok then "ok"
+                 else "MISMATCH: " ^ String.concat "; " o.Fjob.o_diagnostics))
+            summary.Farm.results)
+    in
+    if code = 0 && !failed then 1 else code
   in
   let kernel =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc:"Kernel name (default: all).")
@@ -793,27 +842,11 @@ let validate_cmd =
         Calyx_sim.Testbench.write_memory_ints io name ~width values)
       mems
   in
-  let comment s =
-    String.concat "\n"
-      (List.map (fun l -> "// " ^ l) (String.split_on_char '\n' s))
-  in
-  let ensure_dir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755 in
-  let run files fuzz seed polybench kernel mems config engine max_cycles
-      cex_dir farm_jobs cache_dir tele =
+  let run files fuzz seed polybench kernel mems config engine cex_dir
+      farm_jobs cache_dir tele =
     with_telemetry tele @@ fun () ->
     let failures = ref 0 in
     let cache = Option.map Fcache.open_dir cache_dir in
-    let validate_ctx ~what ?(load = fun _ -> ()) lowered =
-      match
-        Calyx_verilog.Validate.validate ~engine ?max_cycles ~load lowered
-      with
-      | r ->
-          Format.printf "%-24s %a@." what Calyx_verilog.Validate.pp_report r;
-          if not r.Calyx_verilog.Validate.ok then incr failures
-      | exception e ->
-          Format.printf "%-24s CRASH: %s@." what (Printexc.to_string e);
-          incr failures
-    in
     let code =
       handle_errors (fun () ->
           (* Explicit source files. *)
@@ -823,170 +856,96 @@ let validate_cmd =
                 Tele.Manifest.set_run ~source:(Filename.basename file)
                   ~source_hash:(Tele.Manifest.hash (read_file file))
                   ~pipeline:(Calyx.Pipelines.id config) ();
-              let ctx = parse_source file in
-              let lowered = Calyx.Pipelines.compile ~config ctx in
-              validate_ctx ~what:(Filename.basename file)
-                ~load:(load_mems_io mems) lowered)
+              let what = Filename.basename file in
+              let lowered =
+                Calyx.Pipelines.compile ~config (parse_source file)
+              in
+              match
+                Calyx_verilog.Validate.validate ~engine
+                  ~load:(load_mems_io mems) lowered
+              with
+              | r ->
+                  Format.printf "%-24s %a@." what
+                    Calyx_verilog.Validate.pp_report r;
+                  if not r.Calyx_verilog.Validate.ok then incr failures
+              | exception e ->
+                  Format.printf "%-24s CRASH: %s@." what (Printexc.to_string e);
+                  incr failures)
             files;
-          (* PolyBench kernels: both backends additionally checked against
-             the kernel's golden reference. The corpus goes through the
-             farm (validation included in each job), except under an
-             explicit --max-cycles budget, which only the direct harness
-             can express. *)
+          (* PolyBench kernels, on the farm with validation in each job:
+             both backends agree and the simulation matches the kernel's
+             golden reference. *)
           if polybench then begin
-            let kernels =
-              match kernel with
-              | Some name -> [ Polybench.Kernels.find name ]
-              | None -> Polybench.Kernels.all
+            let jobs =
+              List.map
+                (fun k ->
+                  Fjob.make ~config ~engine ~validate:true
+                    (Fjob.Polybench
+                       { kernel = k.Polybench.Kernels.name; unrolled = false }))
+                (select_kernels ~unrolled:false kernel)
             in
-            match max_cycles with
-            | Some _ ->
-                List.iter
-                  (fun k ->
-                    let name = k.Polybench.Kernels.name in
-                    match
-                      Polybench.Harness.run_rtl ~config ~engine ?max_cycles k
-                        ~unrolled:false
-                    with
-                    | r ->
-                        Format.printf "%-24s %a; ref %s@." name
-                          Calyx_verilog.Validate.pp_report
-                          r.Polybench.Harness.report
-                          (if
-                             r.Polybench.Harness.mismatches_sim = []
-                             && r.Polybench.Harness.mismatches_rtl = []
-                           then "ok"
-                           else "MISMATCH");
-                        if not (Polybench.Harness.rtl_ok r) then incr failures
-                    | exception e ->
-                        Format.printf "%-24s CRASH: %s@." name
-                          (Printexc.to_string e);
-                        incr failures)
-                  kernels
-            | None ->
-                let jobs =
-                  List.map
-                    (fun k ->
-                      Fjob.make ~config ~engine ~validate:true
-                        (Fjob.Polybench
-                           {
-                             kernel = k.Polybench.Kernels.name;
-                             unrolled = false;
-                           }))
-                    kernels
-                in
-                let summary = Farm.run ?jobs:farm_jobs ?cache jobs in
-                List.iter
-                  (fun r ->
-                    let o = r.Farm.outcome in
-                    (match o.Fjob.o_validate with
-                    | Some v ->
-                        Format.printf
-                          "%-24s %s: %d cycle(s) (rtl %d), %d register(s), \
-                           %d memory(ies); ref %s@."
-                          o.Fjob.o_label
-                          (if v.Fjob.v_ok then "agree" else "DISAGREE")
-                          o.Fjob.o_cycles v.Fjob.v_cycles_rtl
-                          v.Fjob.v_registers_checked v.Fjob.v_memories_checked
-                          (if o.Fjob.o_diagnostics = [] then "ok"
-                           else "MISMATCH");
-                        List.iter
-                          (fun m -> Format.printf "  %s@." m)
-                          v.Fjob.v_mismatches
-                    | None ->
-                        Format.printf "%-24s CRASH: %s@." o.Fjob.o_label
-                          (String.concat "; " o.Fjob.o_diagnostics));
-                    if not o.Fjob.o_ok then incr failures)
-                  summary.Farm.results
+            let summary = Farm.run ?jobs:farm_jobs ?cache jobs in
+            List.iter
+              (fun r ->
+                let o = r.Farm.outcome in
+                (match o.Fjob.o_validate with
+                | Some v ->
+                    Format.printf
+                      "%-24s %s: %d cycle(s) (rtl %d), %d register(s), %d \
+                       memory(ies); ref %s@."
+                      o.Fjob.o_label
+                      (if v.Fjob.v_ok then "agree" else "DISAGREE")
+                      o.Fjob.o_cycles v.Fjob.v_cycles_rtl
+                      v.Fjob.v_registers_checked v.Fjob.v_memories_checked
+                      (if o.Fjob.o_diagnostics = [] then "ok" else "MISMATCH");
+                    List.iter
+                      (fun m -> Format.printf "  %s@." m)
+                      v.Fjob.v_mismatches
+                | None ->
+                    Format.printf "%-24s CRASH: %s@." o.Fjob.o_label
+                      (String.concat "; " o.Fjob.o_diagnostics));
+                if not o.Fjob.o_ok then incr failures)
+              summary.Farm.results
           end;
-          (* Random programs; failures are shrunk to a minimal spec and
-             written out as counterexample files. *)
+          (* Random programs, on the farm; failures are shrunk to a
+             minimal spec and written out as counterexample files. *)
           if fuzz > 0 then begin
             let fails spec =
               match
-                let lowered =
-                  Calyx.Pipelines.compile ~config (Calyx.Fuzz_gen.build spec)
-                in
-                Calyx_verilog.Validate.validate ~engine ?max_cycles lowered
+                Calyx_verilog.Validate.validate ~engine
+                  (Calyx.Pipelines.compile ~config (Calyx.Fuzz_gen.build spec))
               with
               | r ->
                   if r.Calyx_verilog.Validate.ok then None
                   else
-                    Some (Format.asprintf "%a" Calyx_verilog.Validate.pp_report r)
+                    Some
+                      (Format.asprintf "%a" Calyx_verilog.Validate.pp_report r)
               | exception e -> Some (Printexc.to_string e)
             in
-            let rec minimize (spec, descr) =
-              match
-                List.find_map
-                  (fun c -> Option.map (fun d -> (c, d)) (fails c))
-                  (Calyx.Fuzz_gen.shrink spec)
-              with
-              | Some smaller -> minimize smaller
-              | None -> (spec, descr)
+            let seeds = List.init fuzz (fun i -> seed + i) in
+            let jobs =
+              List.map
+                (fun s ->
+                  Fjob.make ~config ~engine ~validate:true
+                    (Fjob.Fuzz { seed = s }))
+                seeds
             in
-            (* Shrinking stays on the calling domain: it is a sequential
-               search where each step depends on the last, so only the
-               initial sweep is worth farming out. *)
-            let report_failure s spec descr =
-              incr failures;
-              let spec, descr = minimize (spec, descr) in
-              ensure_dir cex_dir;
-              let path =
-                Filename.concat cex_dir (Printf.sprintf "fuzz_%d.futil" s)
-              in
-              write_file path
-                (Printf.sprintf
-                   "// seed: %d\n// spec: %s\n%s\n%s" s
-                   (Calyx.Fuzz_gen.to_string spec)
-                   (comment ("failure: " ^ descr))
-                   (Calyx.Printer.to_string (Calyx.Fuzz_gen.build spec)));
-              Format.printf
-                "fuzz seed %d             FAILED: %s@.  minimized \
-                 counterexample (%d nodes): %s@.  written to %s@."
-                s descr
-                (Calyx.Fuzz_gen.size spec)
-                (Calyx.Fuzz_gen.to_string spec)
-                path
-            in
-            (match max_cycles with
-            | Some _ ->
-                for i = 0 to fuzz - 1 do
-                  let s = seed + i in
-                  let spec = Calyx.Fuzz_gen.spec_of_seed s in
-                  if Tele.Runtime.on () then
-                    Tele.Manifest.set_run
-                      ~source:(Printf.sprintf "fuzz-%d" s)
-                      ~source_hash:
-                        (Tele.Manifest.hash (Calyx.Fuzz_gen.to_string spec))
-                      ~pipeline:(Calyx.Pipelines.id config) ();
-                  match fails spec with
-                  | None -> ()
-                  | Some descr -> report_failure s spec descr
-                done
-            | None ->
-                let seeds = List.init fuzz (fun i -> seed + i) in
-                let jobs =
-                  List.map
-                    (fun s ->
-                      Fjob.make ~config ~engine ~validate:true
-                        (Fjob.Fuzz { seed = s }))
-                    seeds
-                in
-                let summary = Farm.run ?jobs:farm_jobs ?cache jobs in
-                List.iter2
-                  (fun s r ->
-                    let o = r.Farm.outcome in
-                    if not o.Fjob.o_ok then
-                      let descr =
-                        String.concat "; "
-                          (o.Fjob.o_diagnostics
-                          @
-                          match o.Fjob.o_validate with
-                          | Some v -> v.Fjob.v_mismatches
-                          | None -> [])
-                      in
-                      report_failure s (Calyx.Fuzz_gen.spec_of_seed s) descr)
-                  seeds summary.Farm.results);
+            let summary = Farm.run ?jobs:farm_jobs ?cache jobs in
+            List.iter2
+              (fun s r ->
+                let o = r.Farm.outcome in
+                if not o.Fjob.o_ok then begin
+                  incr failures;
+                  write_counterexample ~fails ~dir:cex_dir ~verdict:"FAILED"
+                    ~what:"failure" s
+                    (String.concat "; "
+                       (o.Fjob.o_diagnostics
+                       @
+                       match o.Fjob.o_validate with
+                       | Some v -> v.Fjob.v_mismatches
+                       | None -> []))
+                end)
+              seeds summary.Farm.results;
             Format.printf "fuzz: %d program(s) validated from seed %d@." fuzz
               seed
           end)
@@ -1026,12 +985,6 @@ let validate_cmd =
       & info [ "kernel" ] ~docv:"NAME"
           ~doc:"With --polybench, validate only this kernel.")
   in
-  let max_cycles =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-cycles" ] ~docv:"N" ~doc:"Per-run cycle budget.")
-  in
   let cex_dir =
     Arg.(
       value & opt string "counterexamples"
@@ -1056,7 +1009,7 @@ let validate_cmd =
     (Cmd.info "validate"
        ~doc:"Translation validation: compile each program through the full pipeline, execute the emitted SystemVerilog with the RTL interpreter and the lowered Calyx with the cycle-accurate simulator on identical inputs, and require exact agreement on cycle count, every register, and every memory. The --polybench and --fuzz corpora run on the compile/sim farm (--jobs domains, optional --cache). Fuzz failures are shrunk to minimal counterexample programs.")
     Term.(const run $ files $ fuzz $ seed $ polybench $ kernel $ mems_term
-          $ config_term $ engine_term $ max_cycles $ cex_dir $ farm_jobs
+          $ config_term $ engine_term $ cex_dir $ farm_jobs
           $ cache_dir $ telemetry_term)
 
 (* Differential fuzzing: every generated program runs under the fixpoint
@@ -1067,11 +1020,6 @@ let validate_cmd =
    the same message. Disagreements are shrunk to minimal counterexample
    programs, like validate --fuzz. *)
 let fuzz_cmd =
-  let comment s =
-    String.concat "\n"
-      (List.map (fun l -> "// " ^ l) (String.split_on_char '\n' s))
-  in
-  let ensure_dir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755 in
   (* One engine's observation of one program: everything the equivalence
      contract covers, or the error it raised. *)
   let observe engine ctx regs mems =
@@ -1097,23 +1045,10 @@ let fuzz_cmd =
         Error (Printf.sprintf "timeout after %d cycles" budget)
     | exception e -> Error (Printexc.to_string e)
   in
-  let state_cells ctx =
-    List.fold_left
-      (fun (regs, mems) c ->
-        match c.Calyx.Ir.cell_proto with
-        | Calyx.Ir.Prim ("std_reg", _) ->
-            (c.Calyx.Ir.cell_name :: regs, mems)
-        | Calyx.Ir.Prim (p, _)
-          when String.length p >= 7 && String.sub p 0 7 = "std_mem" ->
-            (regs, c.Calyx.Ir.cell_name :: mems)
-        | _ -> (regs, mems))
-      ([], [])
-      (Calyx.Ir.entry ctx).Calyx.Ir.cells
-  in
   (* How the compiled engine disagrees with the oracle on one program, or
      None. *)
   let disagreement ctx =
-    let regs, mems = state_cells ctx in
+    let regs, mems = Calyx_verilog.Validate.state_cells ctx in
     let a = observe `Fixpoint ctx regs mems
     and b = observe `Compiled ctx regs mems in
     let where =
@@ -1154,50 +1089,23 @@ let fuzz_cmd =
       | d -> d
       | exception e -> Some (Printexc.to_string e)
     in
-    let rec minimize (spec, descr) =
-      match
-        List.find_map
-          (fun c -> Option.map (fun d -> (c, d)) (fails c))
-          (Calyx.Fuzz_gen.shrink spec)
-      with
-      | Some smaller -> minimize smaller
-      | None -> (spec, descr)
-    in
     let failures = ref 0 in
     let seeds = List.init count (fun i -> seed + i) in
-    (* The initial sweep shards across domains; shrinking is a sequential
-       search and stays on the calling domain. *)
+    (* The initial sweep shards across domains. *)
     let outcomes =
-      Calyx_sim.Compiled.run_batch ?jobs
-        (List.map
-           (fun s () -> fails (Calyx.Fuzz_gen.spec_of_seed s))
-           seeds)
+      Calyx_pool.Pool.map
+        ~jobs:(Option.value jobs ~default:(Calyx_pool.Pool.default_jobs ()))
+        (fun s -> fails (Calyx.Fuzz_gen.spec_of_seed s))
+        seeds
     in
     List.iter2
       (fun s outcome ->
-        match outcome with
-        | None -> ()
-        | Some descr ->
+        Option.iter
+          (fun descr ->
             incr failures;
-            let spec, descr =
-              minimize (Calyx.Fuzz_gen.spec_of_seed s, descr)
-            in
-            ensure_dir cex_dir;
-            let path =
-              Filename.concat cex_dir (Printf.sprintf "fuzz_%d.futil" s)
-            in
-            write_file path
-              (Printf.sprintf "// seed: %d\n// spec: %s\n%s\n%s" s
-                 (Calyx.Fuzz_gen.to_string spec)
-                 (comment ("engine disagreement: " ^ descr))
-                 (Calyx.Printer.to_string (Calyx.Fuzz_gen.build spec)));
-            Format.printf
-              "fuzz seed %d             DISAGREES: %s@.  minimized \
-               counterexample (%d nodes): %s@.  written to %s@."
-              s descr
-              (Calyx.Fuzz_gen.size spec)
-              (Calyx.Fuzz_gen.to_string spec)
-              path)
+            write_counterexample ~fails ~dir:cex_dir ~verdict:"DISAGREES"
+              ~what:"engine disagreement" s descr)
+          outcome)
       seeds outcomes;
     Format.printf
       "fuzz: %d program(s) from seed %d under the fixpoint and compiled \
@@ -1271,9 +1179,11 @@ let farm_cmd =
              with
              | [ "file"; p ] -> [ `File p ]
              | [ "polybench"; name ] ->
-                 [ `Source (Fjob.Polybench { kernel = name; unrolled = false }) ]
+                 let kernel = (find_kernel name).Polybench.Kernels.name in
+                 [ `Source (Fjob.Polybench { kernel; unrolled = false }) ]
              | [ "polybench"; name; "unrolled" ] ->
-                 [ `Source (Fjob.Polybench { kernel = name; unrolled = true }) ]
+                 let kernel = (find_kernel name).Polybench.Kernels.name in
+                 [ `Source (Fjob.Polybench { kernel; unrolled = true }) ]
              | [ "systolic"; r; c; d ] ->
                  [
                    `Source
@@ -1303,19 +1213,12 @@ let farm_cmd =
           let kernel_jobs =
             if not polybench then []
             else
-              let kernels =
-                match kernel with
-                | Some name -> [ Polybench.Kernels.find name ]
-                | None ->
-                    if unrolled then Polybench.Kernels.unrollable
-                    else Polybench.Kernels.all
-              in
               List.map
                 (fun k ->
                   mk
                     (Fjob.Polybench
                        { kernel = k.Polybench.Kernels.name; unrolled }))
-                kernels
+                (select_kernels ~unrolled kernel)
           in
           let manifest_jobs =
             match manifest with

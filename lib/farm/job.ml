@@ -127,24 +127,14 @@ let build t =
   | Polybench { kernel; unrolled } ->
       let k = Polybench.Kernels.find kernel in
       let prog = Polybench.Harness.program k ~unrolled in
-      let ctx = Polybench.Harness.build k ~unrolled in
-      let load io =
-        List.iter
-          (fun (name, values) -> Polybench.Data.load prog io name values)
-          k.inputs
-      in
       let check io =
-        let lookup name = Array.of_list (List.assoc name k.inputs) in
-        let expected = k.reference lookup in
-        List.filter_map
-          (fun name ->
-            let got = Polybench.Data.read prog io name in
-            let want = Array.to_list (List.assoc name expected) in
-            if got = want then None
-            else Some (Printf.sprintf "golden mismatch in memory %s" name))
-          k.outputs
+        List.map
+          (Printf.sprintf "golden mismatch in memory %s")
+          (Polybench.Harness.verify k prog io)
       in
-      (ctx, load, check)
+      ( Dahlia.To_calyx.compile prog,
+        Polybench.Harness.load_inputs k prog,
+        check )
   | Systolic { rows; cols; depth } ->
       let dims =
         Systolic.{ rows; cols; depth; width = systolic_width }

@@ -52,7 +52,10 @@ val build :
 (** The job's structured program, its input loader and its post-run
     golden check (which returns mismatch diagnostics). The loader and the
     check work on any {!Calyx_sim.Testbench.io}, so the same data drives
-    the simulator and the RTL interpreter. *)
+    the simulator and the RTL interpreter. This is the only systolic and
+    PolyBench test bench: callers that drive the simulator themselves
+    (phase-split timing, a custom pass list) start from it rather than
+    {!run}. *)
 
 val label : t -> string
 val engine_name : t -> string

@@ -1,34 +1,3 @@
-module Tele = Calyx_telemetry
-
-type result = {
-  cycles : int;
-  correct : bool;
-  mismatches : string list;
-  area : Calyx_synth.Area.usage;
-  timing : Calyx_synth.Timing.report;
-  wall_ns : float;
-}
-
-(* Stamp the run-manifest context so every span closed under this kernel
-   run (compile, sim, validate, timing) is attributed to the kernel and
-   the exact pipeline configuration that produced it. *)
-let stamp_run (k : Kernels.kernel) ~unrolled ~config ~engine =
-  if Tele.Runtime.on () then begin
-    let source =
-      if unrolled then Option.value k.Kernels.unrolled ~default:k.Kernels.source
-      else k.Kernels.source
-    in
-    Tele.Manifest.set_run
-      ~source:(if unrolled then k.Kernels.name ^ "-unrolled" else k.Kernels.name)
-      ~source_hash:(Tele.Manifest.hash source)
-      ~pipeline:(Calyx.Pipelines.id config)
-      ~engine:
-        (match engine with
-        | Some `Fixpoint -> "fixpoint"
-        | Some `Compiled | None -> "compiled")
-      ()
-  end
-
 let program (k : Kernels.kernel) ~unrolled =
   let source =
     if unrolled then
@@ -51,15 +20,10 @@ let verify (k : Kernels.kernel) prog io =
     | None -> raise (Data.Data_error ("kernel has no input " ^ name))
   in
   let expected = k.Kernels.reference get in
-  let mismatches =
-    List.filter_map
-      (fun name ->
-        let got = Array.of_list (Data.read prog io name) in
-        let want = List.assoc name expected in
-        if got = want then None else Some name)
-      k.Kernels.outputs
-  in
-  mismatches
+  List.filter
+    (fun name ->
+      Array.of_list (Data.read prog io name) <> List.assoc name expected)
+    k.Kernels.outputs
 
 let load_inputs (k : Kernels.kernel) prog io =
   List.iter (fun (name, values) -> Data.load prog io name values) k.Kernels.inputs
@@ -69,67 +33,4 @@ let execute ?(engine = `Compiled) (k : Kernels.kernel) prog ctx =
   let io = Calyx_sim.Testbench.of_sim sim in
   load_inputs k prog io;
   let cycles = Calyx_sim.Sim.run sim in
-  let mismatches = verify k prog io in
-  (cycles, mismatches)
-
-let run ?(config = Calyx.Pipelines.default_config) ?engine k ~unrolled =
-  stamp_run k ~unrolled ~config ~engine;
-  let prog = program k ~unrolled in
-  let ctx = Dahlia.To_calyx.compile prog in
-  let lowered = Calyx.Pipelines.compile ~config ctx in
-  let cycles, mismatches = execute ?engine k prog lowered in
-  let timing = Calyx_synth.Timing.context_timing ~paths:1 lowered in
-  {
-    cycles;
-    correct = mismatches = [];
-    mismatches;
-    area = Calyx_synth.Area.context_usage lowered;
-    timing;
-    wall_ns = Calyx_synth.Timing.wall_ns timing ~cycles;
-  }
-
-type rtl_result = {
-  report : Calyx_verilog.Validate.report;
-  mismatches_sim : string list;
-  mismatches_rtl : string list;
-}
-
-let run_rtl ?(config = Calyx.Pipelines.default_config) ?engine ?max_cycles k
-    ~unrolled =
-  stamp_run k ~unrolled ~config ~engine;
-  let prog = program k ~unrolled in
-  let ctx = Dahlia.To_calyx.compile prog in
-  let lowered = Calyx.Pipelines.compile ~config ctx in
-  let report =
-    Calyx_verilog.Validate.validate ?engine ?max_cycles
-      ~load:(load_inputs k prog) lowered
-  in
-  let mismatches_sim = verify k prog report.Calyx_verilog.Validate.sim_io in
-  let mismatches_rtl = verify k prog report.Calyx_verilog.Validate.rtl_io in
-  { report; mismatches_sim; mismatches_rtl }
-
-let rtl_ok r =
-  r.report.Calyx_verilog.Validate.ok
-  && r.mismatches_sim = [] && r.mismatches_rtl = []
-
-let run_interp ?engine k ~unrolled =
-  stamp_run k ~unrolled ~config:Calyx.Pipelines.default_config ~engine;
-  let prog = program k ~unrolled in
-  let ctx = Dahlia.To_calyx.compile prog in
-  let cycles, mismatches = execute ?engine k prog ctx in
-  (* Structured programs are timed as their merged netlist, which can have
-     cycles lowering would resolve; fall back to the lowered design. *)
-  let timing =
-    try Calyx_synth.Timing.context_timing ~paths:1 ctx
-    with Calyx_synth.Timing.Combinational_loop _ ->
-      Calyx_synth.Timing.context_timing ~paths:1
-        (Calyx.Pipelines.compile ctx)
-  in
-  {
-    cycles;
-    correct = mismatches = [];
-    mismatches;
-    area = Calyx_synth.Area.context_usage ctx;
-    timing;
-    wall_ns = Calyx_synth.Timing.wall_ns timing ~cycles;
-  }
+  (cycles, verify k prog io)

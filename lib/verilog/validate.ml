@@ -66,13 +66,13 @@ let disagreements =
 
 let no_load (_ : Calyx_sim.Testbench.io) = ()
 
-let against_sim ?max_cycles ?(load = no_load) ctx ~sim ~cycles:cycles_sim =
+let against_sim ?(load = no_load) ctx ~sim ~cycles:cycles_sim =
   let sv = Verilog.emit ctx in
   let rtl = Vinterp.load ~top:ctx.entrypoint sv in
   let sim_io = Calyx_sim.Testbench.of_sim sim in
   let rtl_io = rtl_io rtl in
   load rtl_io;
-  let cycles_rtl = Vinterp.run ?max_cycles rtl in
+  let cycles_rtl = Vinterp.run rtl in
   let regs, mems = state_cells ctx in
   let mismatches = ref [] in
   let add path kind sim_value rtl_value =
@@ -117,12 +117,12 @@ let against_sim ?max_cycles ?(load = no_load) ctx ~sim ~cycles:cycles_sim =
     rtl_io;
   }
 
-let validate ?(engine = `Compiled) ?max_cycles ?(load = no_load) ctx =
+let validate ?(engine = `Compiled) ?(load = no_load) ctx =
   Calyx_telemetry.Trace.with_span ~cat:"stage" "validate" @@ fun () ->
   let sim = Calyx_sim.Sim.create ~engine ctx in
   load (Calyx_sim.Testbench.of_sim sim);
-  let cycles = Calyx_sim.Sim.run ?max_cycles sim in
-  against_sim ?max_cycles ~load ctx ~sim ~cycles
+  let cycles = Calyx_sim.Sim.run sim in
+  against_sim ~load ctx ~sim ~cycles
 
 let pp_report fmt r =
   Format.fprintf fmt "sim %d cycles, rtl %d cycles; %d registers, %d memories compared (%d nets, %d processes)"

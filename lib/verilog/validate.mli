@@ -39,18 +39,17 @@ val state_cells : Ir.context -> string list * string list
 
 val validate :
   ?engine:Calyx_sim.Sim.engine ->
-  ?max_cycles:int ->
   ?load:(Calyx_sim.Testbench.io -> unit) ->
   Ir.context ->
   report
 (** Simulate [ctx] (which must already be lowered — see {!Verilog.emit})
     on a fresh simulator ([engine] defaults to [`Compiled]) after applying
     [load] (default: nothing), then check that run with {!against_sim}.
+    Both sides run under their default 5,000,000-cycle budget.
     Raises whatever either backend raises ([Sim.Timeout], {!Vinterp.Unstable},
     ...) — a crash on one side is a validation failure the caller reports. *)
 
 val against_sim :
-  ?max_cycles:int ->
   ?load:(Calyx_sim.Testbench.io -> unit) ->
   Ir.context ->
   sim:Calyx_sim.Sim.t ->

@@ -262,23 +262,3 @@ let unstable_program () =
     |> with_control (enable "w")
   in
   context [ main ]
-
-(* Random well-formed, race-free, terminating programs — shared between
-   the differential fuzzer (test_random) and the observability tests
-   (test_obs). The generator itself now lives in Calyx.Fuzz_gen (it is a
-   shrinkable spec-based generator used by `calyx validate --fuzz` too);
-   this module keeps the historical entry point.
-
-   Construction invariants (enforced by Fuzz_gen.build):
-   - every action group writes its own dedicated register, and groups may
-     only read registers whose (unique) writer is sequentially before
-     them — never a register written by a sibling [par] branch;
-   - every [while] loop owns a dedicated counter register incremented
-     once per iteration with a strict bound (so programs terminate);
-   - [if] conditions compare a readable register against a constant via a
-     combinational condition group. *)
-module Fuzz = struct
-  let width = Calyx.Fuzz_gen.width
-  let gen_program = Calyx.Fuzz_gen.program_of_seed
-end
-

@@ -75,36 +75,25 @@ let test_plan_render () =
     [ "level 0:"; "level 1:"; "level 2:"; "node0"; "node3" ]
 
 (* ------------------------------------------------------------------ *)
-(* The batch runner                                                    *)
+(* Concurrent simulation                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Results come back in input order regardless of sharding, and real
-   simulations can run concurrently (each thunk owns its instance). *)
-let test_run_batch () =
-  let thunks = List.init 17 (fun i () -> i * i) in
-  Alcotest.(check (list int))
-    "in order, parallel"
-    (List.init 17 (fun i -> i * i))
-    (Compiled.run_batch ~jobs:4 thunks);
-  Alcotest.(check (list int))
-    "in order, sequential"
-    (List.init 17 (fun i -> i * i))
-    (Compiled.run_batch ~jobs:1 thunks)
-
-let test_run_batch_sims () =
+(* Simulations sharded across domains (each owns its instance) agree
+   with the same simulations run one after another. *)
+let test_pooled_sims () =
   let cycles =
-    Compiled.run_batch ~jobs:4
-      (List.init 8 (fun i () ->
-           let sim =
-             Sim.create ~engine:`Compiled (Progs.counter ~limit:(i + 2) ())
-           in
-           Sim.run sim))
+    Calyx_pool.Pool.map ~jobs:4
+      (fun i ->
+        Sim.run
+          (Sim.create ~engine:`Compiled (Progs.counter ~limit:(i + 2) ())))
+      (List.init 8 Fun.id)
   in
   let expected =
     List.init 8 (fun i ->
-        Sim.run (Sim.create (Progs.counter ~limit:(i + 2) ())))
+        Sim.run
+          (Sim.create ~engine:`Fixpoint (Progs.counter ~limit:(i + 2) ())))
   in
-  Alcotest.(check (list int)) "batched = sequential oracle" expected cycles
+  Alcotest.(check (list int)) "pooled = sequential oracle" expected cycles
 
 (* ------------------------------------------------------------------ *)
 (* Engine equivalence on the shared sample programs                    *)
@@ -295,10 +284,7 @@ let () =
           Alcotest.test_case "render" `Quick test_plan_render;
         ] );
       ( "batch",
-        [
-          Alcotest.test_case "run_batch order" `Quick test_run_batch;
-          Alcotest.test_case "run_batch sims" `Quick test_run_batch_sims;
-        ] );
+        [ Alcotest.test_case "pooled sims" `Quick test_pooled_sims ] );
       ( "equivalence",
         [
           Alcotest.test_case "counter" `Quick test_counter;

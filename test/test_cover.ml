@@ -323,7 +323,7 @@ let final_state sim regs =
   List.map (fun r -> Bitvec.to_int64 (Sim.read_register sim r)) regs
 
 let check_neutral seed =
-  let ctx = runnable (Progs.Fuzz.gen_program seed) in
+  let ctx = runnable (Calyx.Fuzz_gen.program_of_seed seed) in
   let regs = registers ctx in
   let plain_sim = Sim.create ctx in
   let plain_cycles = Sim.run ~max_cycles:200_000 plain_sim in

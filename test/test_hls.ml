@@ -33,16 +33,20 @@ let test_hls_faster_than_calyx () =
   List.iter
     (fun name ->
       let k = Polybench.Kernels.find name in
-      let calyx = Polybench.Harness.run k ~unrolled:false in
+      let calyx =
+        Calyx_farm.Job.run
+          (Calyx_farm.Job.make
+             (Calyx_farm.Job.Polybench { kernel = name; unrolled = false }))
+      in
       let hls =
         Hls_model.run (kernel_prog k ~unrolled:false)
           ~inputs:k.Polybench.Kernels.inputs
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s: HLS %d < Calyx %d" name hls.Hls_model.cycles
-           calyx.Polybench.Harness.cycles)
+           calyx.o_cycles)
         true
-        (hls.Hls_model.cycles < calyx.Polybench.Harness.cycles))
+        (hls.Hls_model.cycles < calyx.o_cycles))
     [ "gemm"; "atax"; "trisolv" ]
 
 let test_matmul_baseline () =

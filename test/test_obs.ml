@@ -263,7 +263,7 @@ let run_traced ctx =
   (cycles, sim, p)
 
 let check_neutral seed =
-  let ctx = runnable (Progs.Fuzz.gen_program seed) in
+  let ctx = runnable (Calyx.Fuzz_gen.program_of_seed seed) in
   let regs = registers ctx in
   (* Structured interpretation. *)
   let cycles, plain = run_plain ctx in

@@ -18,10 +18,6 @@
 open Calyx
 open Calyx.Ir
 
-(* The generator lives in Progs.Fuzz so the observability tests can reuse
-   it (tracing must never change simulation results). *)
-let gen_program = Progs.Fuzz.gen_program
-
 let register_values sim regs =
   List.map (fun r -> Bitvec.to_int64 (Calyx_sim.Sim.read_register sim r)) regs
 
@@ -69,7 +65,7 @@ let configs =
   ]
 
 let check_seed seed =
-  let ctx = gen_program seed in
+  let ctx = Fuzz_gen.program_of_seed seed in
   Well_formed.check ctx;
   let regs =
     List.filter_map
@@ -111,7 +107,7 @@ let prop_engines =
     ~count:300
     (Fuzz_seed.seed_arb "random-engines")
     (fun seed ->
-      let ctx = gen_program seed in
+      let ctx = Fuzz_gen.program_of_seed seed in
       let regs =
         List.filter_map
           (fun c ->
@@ -128,7 +124,7 @@ let prop_roundtrip =
     ~count:40
     (Fuzz_seed.seed_arb "random-roundtrip")
     (fun seed ->
-      let ctx = gen_program seed in
+      let ctx = Fuzz_gen.program_of_seed seed in
       let text = Printer.to_string ctx in
       let ctx' = Parser.parse_string text in
       String.equal text (Printer.to_string ctx'))
@@ -138,7 +134,7 @@ let prop_roundtrip =
 let prop_lint_clean =
   QCheck.Test.make ~name:"random programs lint clean" ~count:60
     (Fuzz_seed.seed_arb "random-lint")
-    (fun seed -> Lint.diagnostics (gen_program seed) = [])
+    (fun seed -> Lint.diagnostics (Fuzz_gen.program_of_seed seed) = [])
 
 (* ...and compilation must not introduce error-severity diagnostics either
    (lowered programs may pick up warnings: group enables from different
@@ -150,7 +146,9 @@ let prop_lowered_error_free =
     (fun seed ->
       List.for_all
         (fun (_, config) ->
-          let lowered = Pipelines.compile ~config (gen_program seed) in
+          let lowered =
+            Pipelines.compile ~config (Fuzz_gen.program_of_seed seed)
+          in
           Diagnostics.errors_of (Lint.diagnostics lowered) = [])
         configs)
 
@@ -159,7 +157,7 @@ let prop_area_total =
   QCheck.Test.make ~name:"random programs have sane area" ~count:30
     (Fuzz_seed.seed_arb "random-area")
     (fun seed ->
-      let ctx = Pipelines.compile (gen_program seed) in
+      let ctx = Pipelines.compile (Fuzz_gen.program_of_seed seed) in
       let u = Calyx_synth.Area.context_usage ctx in
       u.Calyx_synth.Area.luts >= 0 && u.Calyx_synth.Area.registers > 0)
 

@@ -243,51 +243,37 @@ let test_example_configs () =
       ("default", Pipelines.default_config);
     ]
 
+(* A validated farm job: the RTL agrees with the job's own simulation,
+   which passes the job's golden check. *)
+let check_job source =
+  let module Job = Calyx_farm.Job in
+  let o = Job.run (Job.make ~validate:true source) in
+  if not o.o_ok then
+    Alcotest.failf "%s: %s" o.o_label
+      (String.concat "; "
+         (o.o_diagnostics
+         @ match o.o_validate with Some v -> v.v_mismatches | None -> []))
+
 let test_polybench_all () =
   List.iter
     (fun k ->
-      let r = Polybench.Harness.run_rtl k ~unrolled:false in
-      if not (Polybench.Harness.rtl_ok r) then
-        Alcotest.failf "%s: %s%s" k.Polybench.Kernels.name
-          (Format.asprintf "%a" Validate.pp_report r.Polybench.Harness.report)
-          (match
-             (r.Polybench.Harness.mismatches_sim,
-              r.Polybench.Harness.mismatches_rtl)
-           with
-          | [], [] -> ""
-          | s, rt ->
-              Printf.sprintf "; ref mismatches sim=[%s] rtl=[%s]"
-                (String.concat "," s) (String.concat "," rt)))
+      check_job
+        (Calyx_farm.Job.Polybench
+           { kernel = k.Polybench.Kernels.name; unrolled = false }))
     Polybench.Kernels.all
 
 let test_polybench_unrolled () =
   List.iter
     (fun k ->
-      let r = Polybench.Harness.run_rtl k ~unrolled:true in
-      if not (Polybench.Harness.rtl_ok r) then
-        Alcotest.failf "%s (unrolled) diverged" k.Polybench.Kernels.name)
+      check_job
+        (Calyx_farm.Job.Polybench
+           { kernel = k.Polybench.Kernels.name; unrolled = true }))
     Polybench.Kernels.unrollable
 
 let test_systolic () =
   List.iter
     (fun (rows, cols, depth) ->
-      let d = { Systolic.rows; cols; depth; width = 32 } in
-      let lowered = Pipelines.compile (Systolic.generate d) in
-      let load io =
-        for r = 0 to rows - 1 do
-          Calyx_sim.Testbench.write_memory_ints io (Systolic.left_memory r)
-            ~width:32
-            (List.init depth (fun k -> r + k + 1))
-        done;
-        for c = 0 to cols - 1 do
-          Calyx_sim.Testbench.write_memory_ints io (Systolic.top_memory c)
-            ~width:32
-            (List.init depth (fun k -> (2 * k) + c + 1))
-        done
-      in
-      check_ok
-        (Printf.sprintf "systolic %dx%dx%d" rows cols depth)
-        (Validate.validate ~load lowered))
+      check_job (Calyx_farm.Job.Systolic { rows; cols; depth }))
     [ (1, 1, 2); (2, 2, 3); (3, 3, 4) ]
 
 (* [against_sim] compares the simulation it is given rather than running

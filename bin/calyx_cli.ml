@@ -296,21 +296,19 @@ let with_telemetry ?source tele f =
   end
 
 (* Frontend selection by suffix: .dahlia/.fuse sources go through the
-   Dahlia frontend, everything else parses as Calyx. *)
-let parse_calyx file =
-  Tele.Trace.with_span ~cat:"stage" "parse" (fun () ->
-      Calyx.Parser.parse_file file)
+   Dahlia frontend, everything else parses as Calyx. Either way the
+   frontend is one span. *)
+let frontend f = Tele.Trace.with_span ~cat:"stage" "frontend" f
+
+let parse_calyx file = frontend (fun () -> Calyx.Parser.parse_file file)
+
+let parse_dahlia file =
+  frontend (fun () ->
+      Dahlia.To_calyx.compile (Dahlia.Parser.parse_string (read_file file)))
 
 let parse_source file =
   if Filename.check_suffix file ".dahlia" || Filename.check_suffix file ".fuse"
-  then begin
-    let src = read_file file in
-    let prog =
-      Tele.Trace.with_span ~cat:"stage" "parse" (fun () ->
-          Dahlia.Parser.parse_string src)
-    in
-    Dahlia.To_calyx.compile prog
-  end
+  then parse_dahlia file
   else parse_calyx file
 
 (* Kernel names are resolved here, once, so a misspelt name is a usage
@@ -378,18 +376,12 @@ let check_cmd =
     let code =
       handle_errors (fun () ->
           let ctx = parse_calyx file in
-          let wf =
-            Tele.Trace.with_span ~cat:"stage" "check" (fun () ->
-                Calyx.Well_formed.diagnostics ctx)
-          in
+          let wf = Calyx.Well_formed.diagnostics ctx in
           let ds =
             (* Lints assume a well-formed program; skip them when the
                structural checks already failed. *)
             if List.exists Calyx.Diagnostics.is_error wf then wf
-            else
-              wf
-              @ Tele.Trace.with_span ~cat:"stage" "lint" (fun () ->
-                    Calyx.Lint.diagnostics ctx)
+            else wf @ Calyx.Lint.diagnostics ctx
           in
           if json then print_string (Calyx.Diagnostics.to_json ds)
           else print_string (Calyx.Diagnostics.render_all ds);
@@ -513,12 +505,7 @@ let dahlia_cmd =
   let run file config emit execute mems tele =
     with_telemetry ~source:file tele @@ fun () ->
     handle_errors (fun () ->
-        let src = read_file file in
-        let prog =
-          Tele.Trace.with_span ~cat:"stage" "parse" (fun () ->
-              Dahlia.Parser.parse_string src)
-        in
-        let ctx = Dahlia.To_calyx.compile prog in
+        let ctx = parse_dahlia file in
         if execute then begin
           let lowered = Calyx.Pipelines.compile ~config ctx in
           let sim = Calyx_sim.Sim.create lowered in
@@ -551,9 +538,8 @@ let systolic_cmd =
         (* The farm's systolic test bench: its matrices, loader and
            C = A.B check. *)
         let ctx, load, check =
-          Tele.Trace.with_span ~cat:"stage" "generate" (fun () ->
-              try Fjob.build (Fjob.make (Fjob.Systolic { rows; cols; depth }))
-              with Invalid_argument msg -> failwith msg)
+          try Fjob.build (Fjob.make (Fjob.Systolic { rows; cols; depth }))
+          with Invalid_argument msg -> failwith msg
         in
         let lowered = Calyx.Pipelines.compile ~config ctx in
         if execute then begin
@@ -1026,7 +1012,7 @@ let fuzz_cmd =
     match
       let sim = Calyx_sim.Sim.create ~engine ctx in
       let events = ref [] in
-      Calyx_sim.Sim.set_ctrl_sink sim (Some (fun e -> events := e :: !events));
+      Calyx_sim.Sim.add_ctrl_sink sim (fun e -> events := e :: !events);
       let cycles = Calyx_sim.Sim.run ~max_cycles:400_000 sim in
       ( cycles,
         List.map
@@ -1365,7 +1351,7 @@ let stats_cmd =
         in
         let main = Calyx.Ir.entry ctx in
         let usage = Calyx_synth.Area.context_usage lowered in
-        let timing = Calyx_synth.Timing.context_depth lowered in
+        let timing = Calyx_synth.Timing.context_timing ~paths:1 lowered in
         if json then
           print_endline
             (Tele.Json.obj

@@ -636,6 +636,7 @@ let component_diagnostics ctx comp =
   @ dead_code comp @ latency_contracts ctx comp
 
 let diagnostics ctx =
+  Calyx_telemetry.Trace.with_span ~cat:"stage" "calyx.lint" @@ fun () ->
   List.concat_map
     (fun c -> if c.is_extern <> None then [] else component_diagnostics ctx c)
     ctx.components

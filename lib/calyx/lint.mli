@@ -36,7 +36,8 @@ val component_diagnostics : Ir.context -> Ir.component -> Diagnostics.t list
 val diagnostics : Ir.context -> Diagnostics.t list
 (** All lint diagnostics of a program (extern components are skipped).
     The program should already be well-formed; unresolvable references are
-    ignored here, not reported twice. *)
+    ignored here, not reported twice. Traced as one [calyx.lint] span
+    ({!check} runs through here). *)
 
 val check : Ir.context -> unit
 (** Run all lints; raises {!Rejected} when any {e error}-severity

@@ -55,31 +55,30 @@ let invocations =
     ~help:"Compiler pass invocations across the process"
     "calyx_pass_invocations_total"
 
+(* The pass span covers the transform only: the well-formedness re-check
+   after it is the [calyx.well_formed] layer's own span, a sibling. *)
 let run ?(validate = true) ?observe pass ctx =
   Calyx_telemetry.Metrics.inc invocations;
-  Calyx_telemetry.Trace.with_span ~cat:"pass" pass.name @@ fun () ->
-  match observe with
-  | None ->
-      let ctx' = pass.transform ctx in
-      if validate then validate_after pass ctx';
-      ctx'
-  | Some notify ->
-      let before = measure ctx in
-      let ctx', seconds =
-        Calyx_telemetry.Clock.timed (fun () -> pass.transform ctx)
-      in
-      if validate then validate_after pass ctx';
+  let before = Option.map (fun _ -> measure ctx) observe in
+  let ctx', seconds =
+    Calyx_telemetry.Trace.with_span ~cat:"pass" ("calyx.pass." ^ pass.name)
+      (fun () -> Calyx_telemetry.Clock.timed (fun () -> pass.transform ctx))
+  in
+  if validate then validate_after pass ctx';
+  Option.iter
+    (fun notify ->
       notify
         {
           obs_pass = pass.name;
           obs_description = pass.description;
           obs_seconds = seconds;
-          obs_before = before;
+          obs_before = Option.get before;
           obs_after = measure ctx';
           obs_ctx_before = ctx;
           obs_ctx_after = ctx';
-        };
-      ctx'
+        })
+    observe;
+  ctx'
 
 let run_all ?validate ?observe passes ctx =
   List.fold_left (fun ctx pass -> run ?validate ?observe pass ctx) ctx passes

@@ -6,9 +6,11 @@
     an {!observation} per pass (wall-clock time and IR size before/after),
     the raw material of [calyx compile --pass-stats].
 
-    Every invocation additionally opens a telemetry span (category
-    ["pass"]) and bumps the process-wide [calyx_pass_invocations_total]
-    counter — both free when telemetry is disabled (one branch via
+    Every invocation additionally opens a telemetry span
+    [calyx.pass.<name>] (category ["pass"]) around the transformation —
+    the re-check after it is a sibling [calyx.well_formed] span — and
+    bumps the process-wide [calyx_pass_invocations_total] counter, both
+    free when telemetry is disabled (one branch via
     [Calyx_telemetry.Runtime.on]). *)
 
 type t = {
@@ -55,7 +57,7 @@ val run :
 (** Apply one pass; with [validate] (default true), raises
     [Well_formed.Malformed] annotated with the pass name if the output is
     malformed. [observe] (off by default — the uninstrumented path measures
-    nothing) receives one {!observation} after the pass completes. *)
+    no IR sizes) receives one {!observation} after the pass completes. *)
 
 val run_all :
   ?validate:bool -> ?observe:(observation -> unit) -> t list -> Ir.context ->

@@ -61,9 +61,8 @@ let programs_compiled =
 let compile ?(config = default_config) ?observe ctx =
   Tele.Metrics.inc programs_compiled;
   if Tele.Runtime.on () then Tele.Manifest.set_run ~pipeline:(id config) ();
-  Tele.Trace.with_span ~cat:"stage" "compile" @@ fun () ->
+  Tele.Trace.with_span ~cat:"stage" "calyx.compile" @@ fun () ->
   Tele.Log.debug "compile: pipeline %s (%s)" (id config) (description config);
-  Tele.Trace.with_span ~cat:"stage" "check" (fun () -> Well_formed.check ctx);
-  if config.lint then
-    Tele.Trace.with_span ~cat:"stage" "lint" (fun () -> Lint.check ctx);
+  Well_formed.check ctx;
+  if config.lint then Lint.check ctx;
   Pass.run_all ?observe (passes config) ctx

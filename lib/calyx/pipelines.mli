@@ -32,7 +32,9 @@ val lower : config -> Pass.t list
 val compile :
   ?config:config -> ?observe:(Pass.observation -> unit) -> Ir.context ->
   Ir.context
-(** Run the whole pipeline; validates after every pass. [observe] receives
+(** Run the whole pipeline; validates after every pass. Traced as one
+    [calyx.compile] span grouping the [calyx.well_formed], [calyx.lint]
+    and [calyx.pass.<name>] layer spans. [observe] receives
     one {!Pass.observation} per pass (see [Calyx_obs.Pass_stats] for a
     ready-made collector and renderers). *)
 

@@ -347,6 +347,7 @@ let component_diagnostics ctx comp =
   List.rev !acc
 
 let diagnostics ctx =
+  Calyx_telemetry.Trace.with_span ~cat:"stage" "calyx.well_formed" @@ fun () ->
   (match find_component_opt ctx ctx.entrypoint with
   | Some _ -> []
   | None ->

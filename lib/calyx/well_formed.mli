@@ -15,7 +15,9 @@ exception Malformed of string list
 (** All collected problems, one rendered diagnostic each. *)
 
 val diagnostics : Ir.context -> Diagnostics.t list
-(** All structural diagnostics of a program (empty when well-formed). *)
+(** All structural diagnostics of a program (empty when well-formed).
+    Every whole-program check ({!check}, {!errors}) runs through here, in
+    one [calyx.well_formed] telemetry span. *)
 
 val component_diagnostics : Ir.context -> Ir.component -> Diagnostics.t list
 (** Diagnostics of one component. *)

@@ -1,6 +1,7 @@
 open Calyx
 module Sim = Calyx_sim.Sim
 module Json = Calyx_telemetry.Json
+module Trace_event = Calyx_telemetry.Trace_event
 
 type span = {
   sp_thread : string;
@@ -164,7 +165,7 @@ let spans t =
   List.rev_append t.closed (residual @ fsm_residual)
 
 (* ------------------------------------------------------------------ *)
-(* Chrome trace_event export (load at ui.perfetto.dev)                 *)
+(* Chrome trace_event export, through the toolchain's shared writer    *)
 (* ------------------------------------------------------------------ *)
 
 let thread_display name = if name = "" then "<entry>" else name
@@ -172,29 +173,11 @@ let thread_display name = if name = "" then "<entry>" else name
 let to_chrome t =
   let all = spans t in
   let threads =
-    List.sort_uniq compare (List.map (fun s -> s.sp_thread) all)
+    List.mapi
+      (fun i th -> (th, i + 1))
+      (List.sort_uniq compare (List.map (fun s -> s.sp_thread) all))
   in
-  let tid th =
-    let rec go i = function
-      | [] -> 0
-      | x :: _ when x = th -> i
-      | _ :: rest -> go (i + 1) rest
-    in
-    1 + go 0 threads
-  in
-  let metadata =
-    List.map
-      (fun th ->
-        Json.obj
-          [
-            ("ph", Json.str "M");
-            ("name", Json.str "thread_name");
-            ("pid", Json.int 1);
-            ("tid", Json.int (tid th));
-            ("args", Json.obj [ ("name", Json.str (thread_display th)) ]);
-          ])
-      threads
-  in
+  let tid th = List.assoc th threads in
   (* One complete ("X") event per span; 1 cycle = 1 µs. Sorted so nesting
      renders correctly: by thread, then start time, longest span first. *)
   let ordered =
@@ -212,29 +195,19 @@ let to_chrome t =
         | c -> c)
       all
   in
-  let events =
-    List.map
-      (fun s ->
-        Json.obj
-          [
-            ("name", Json.str s.sp_name);
-            ("cat", Json.str (if s.sp_node >= 0 then "control" else "fsm"));
-            ("ph", Json.str "X");
-            ("pid", Json.int 1);
-            ("tid", Json.int (tid s.sp_thread));
-            ("ts", Json.int s.sp_enter);
-            ("dur", Json.int (s.sp_exit - s.sp_enter + 1));
-            ( "args",
-              Json.obj
-                (("path", Json.str s.sp_path)
-                ::
-                (if s.sp_node >= 0 then [ ("node", Json.int s.sp_node) ]
-                 else [])) );
-          ])
-      ordered
+  let event s =
+    {
+      Trace_event.name = s.sp_name;
+      cat = (if s.sp_node >= 0 then "control" else "fsm");
+      tid = tid s.sp_thread;
+      ts = float_of_int s.sp_enter;
+      dur = float_of_int (s.sp_exit - s.sp_enter + 1);
+      args =
+        ("path", Json.str s.sp_path)
+        :: (if s.sp_node >= 0 then [ ("node", Json.int s.sp_node) ] else []);
+    }
   in
-  Json.obj
-    [
-      ("traceEvents", Json.arr (metadata @ events));
-      ("displayTimeUnit", Json.str "ms");
-    ]
+  Trace_event.to_json
+    (List.map (fun (th, i) -> Trace_event.Thread (i, thread_display th))
+       threads)
+    (List.map event ordered)

@@ -41,6 +41,6 @@ val spans : t -> span list
     timed-out run) are closed there, so partial traces stay loadable. *)
 
 val to_chrome : t -> string
-(** The spans as a Chrome trace_event JSON document ([traceEvents] array of
-    ["X"] complete events plus thread-name metadata), deterministically
-    ordered. *)
+(** The spans as a Chrome trace_event JSON document, written by the
+    toolchain's shared [Calyx_telemetry.Trace_event] writer: thread-name
+    metadata, then ["X"] complete events, deterministically ordered. *)

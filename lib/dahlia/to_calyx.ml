@@ -279,7 +279,6 @@ let mem_cell d =
         d.decl_name
 
 let compile prog =
-  Calyx_telemetry.Trace.with_span ~cat:"stage" "frontend" @@ fun () ->
   let lowered = Lowering.lower prog in
   let mems =
     List.fold_left (fun acc d -> SM.add d.decl_name d acc) SM.empty lowered.decls

@@ -114,6 +114,7 @@ type outcome = {
    same data drives the simulator and, under --validate, the RTL
    interpreter. *)
 let build t =
+  Tele.Trace.with_span ~cat:"stage" "frontend" @@ fun () ->
   let nothing (_ : Calyx_sim.Testbench.io) = [] in
   match t.source with
   | Text { dahlia; text; _ } ->
@@ -253,17 +254,11 @@ let run t =
   match
     Tele.Trace.with_span ~cat:"farm" ("job:" ^ label t) (fun () ->
         let ctx, load, check = build t in
-        let lowered =
-          Tele.Trace.with_span ~cat:"stage" "compile" (fun () ->
-              Calyx.Pipelines.compile ~config:t.config ctx)
-        in
+        let lowered = Calyx.Pipelines.compile ~config:t.config ctx in
         let sim = Calyx_sim.Sim.create ~engine:t.engine lowered in
         let io = Calyx_sim.Testbench.of_sim sim in
         load io;
-        let cycles =
-          Tele.Trace.with_span ~cat:"stage" "simulate" (fun () ->
-              Calyx_sim.Sim.run sim)
-        in
+        let cycles = Calyx_sim.Sim.run sim in
         let golden = check io in
         let registers, memories = Calyx_verilog.Validate.state_cells lowered in
         let o_registers =
@@ -280,10 +275,7 @@ let run t =
             memories
         in
         let validation =
-          if t.validate then
-            Some
-              (Tele.Trace.with_span ~cat:"stage" "validate" (fun () ->
-                   run_validation ~load lowered ~sim ~cycles))
+          if t.validate then Some (run_validation ~load lowered ~sim ~cycles)
           else None
         in
         let timing = Calyx_synth.Timing.context_timing ~paths:1 lowered in

@@ -55,7 +55,7 @@ val build :
     the simulator and the RTL interpreter. This is the only systolic and
     PolyBench test bench: callers that drive the simulator themselves
     (phase-split timing, a custom pass list) start from it rather than
-    {!run}. *)
+    {!run}. Traced as one [frontend] span. *)
 
 val label : t -> string
 val engine_name : t -> string
@@ -98,7 +98,8 @@ type outcome = {
 
 val run : t -> outcome
 (** Execute the job. Never raises: compile-time diagnostics, simulation
-    errors, and golden mismatches are captured in [o_diagnostics]. *)
+    errors, and golden mismatches are captured in [o_diagnostics]. Traced
+    as one [job:<label>] root span over the layers' own spans. *)
 
 val outcome_to_json : outcome -> string
 (** Canonical single-line JSON — the cache payload and the byte string

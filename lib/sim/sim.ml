@@ -16,7 +16,7 @@ let fixpoint_iterations_total =
 
 let dirty_set_size =
   Tele.Metrics.histogram
-    ~help:"Nodes touched per scheduled-engine settle"
+    ~help:"Nodes touched per compiled-engine settle"
     ~buckets:[ 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024. ]
     "calyx_sched_dirty_set_size"
 
@@ -1469,6 +1469,7 @@ type t = {
 
 let create ?externs ?(engine : engine = `Compiled) ?(max_fixpoint_iters = 1000)
     ctx =
+  Tele.Trace.with_span ~cat:"stage" "sim.instantiate" @@ fun () ->
   let comp = entry ctx in
   let root =
     build ?externs ~engine ~max_iters:max_fixpoint_iters ~path:"" ctx comp
@@ -1550,27 +1551,22 @@ let instances t =
   in
   List.rev (walk "" t.root [])
 
-let set_sink t sink =
-  t.sink <- sink;
-  (* Pre-build the probe index so the first observed cycle is not slower
-     than the rest. *)
-  if sink <> None then ignore (probes t)
-
 (* Compose with whatever sink is already installed, so independent
    observers (a VCD tracer, a profiler, a coverage collector) can attach to
    the same simulation without knowing about each other. Installed sinks
    run in attachment order. *)
 let add_sink t sink =
-  match t.sink with
-  | None -> set_sink t (Some sink)
-  | Some prev ->
-      set_sink t
-        (Some
-           (fun ev ->
-             prev ev;
-             sink ev))
-
-let set_ctrl_sink t sink = t.ctrl_sink <- sink
+  t.sink <-
+    Some
+      (match t.sink with
+      | None -> sink
+      | Some prev ->
+          fun ev ->
+            prev ev;
+            sink ev);
+  (* Pre-build the probe index so the first observed cycle is not slower
+     than the rest. *)
+  ignore (probes t)
 
 let add_ctrl_sink t sink =
   t.ctrl_sink <-
@@ -1764,7 +1760,7 @@ let cycle t =
 let done_seen t = t.finished
 
 let run ?(max_cycles = 5_000_000) t =
-  Tele.Trace.with_span ~cat:"stage" "sim" @@ fun () ->
+  Tele.Trace.with_span ~cat:"stage" "sim.simulate" @@ fun () ->
   if Tele.Runtime.on () then
     Tele.Trace.add_tag "engine"
       (match engine t with

@@ -110,11 +110,14 @@ val status : t -> string
 
 (** {1 Observation (the event-sink interface)}
 
-    The observability layer ([calyx_obs]: VCD tracing, profiling) attaches
-    through a single optional sink. When no sink is installed the per-cycle
-    overhead is one [option] match; when one is, the simulator publishes an
-    {!event} per cycle after the combinational fixpoint settles and before
-    state commits — the values "on the wires" during that cycle.
+    Observers (VCD, profiler, coverage) attach with {!add_sink} and
+    {!add_ctrl_sink}, the whole sink API; sinks compose in attachment
+    order. With none attached the per-cycle overhead is one [option]
+    match; otherwise the simulator publishes an {!event} per cycle after
+    the combinational fixpoint settles and before state commits — the
+    values "on the wires" during that cycle. (Toolchain telemetry is
+    separate: {!create} and {!run} are the [sim.instantiate] and
+    [sim.simulate] spans.)
 
     Signals and instances are addressed by dotted hierarchical paths from
     the entrypoint: the root instance's path is [""], a cell [c] inside
@@ -157,9 +160,6 @@ val signals : t -> signal array
 val instances : t -> (string * string) list
 (** All instances as [(path, component name)]; the root is [("", entry)]. *)
 
-val set_sink : t -> sink option -> unit
-(** Install or remove the per-cycle observer, replacing any existing one. *)
-
 val add_sink : t -> sink -> unit
 (** Attach an observer {e in addition to} any already installed; sinks run
     in attachment order. This is how independent observers (a VCD tracer, a
@@ -193,10 +193,6 @@ type ctrl_event = {
 }
 
 type ctrl_sink = ctrl_event -> unit
-
-val set_ctrl_sink : t -> ctrl_sink option -> unit
-(** Install or remove the control-event observer, replacing any existing
-    one. *)
 
 val add_ctrl_sink : t -> ctrl_sink -> unit
 (** Attach a control-event observer in addition to any already installed. *)

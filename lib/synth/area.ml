@@ -91,7 +91,9 @@ let rec component_usage ctx comp =
   in
   add cells (wiring_usage ctx comp)
 
-let context_usage ctx = component_usage ctx (entry ctx)
+let context_usage ctx =
+  Calyx_telemetry.Trace.with_span ~cat:"stage" "synth.area" @@ fun () ->
+  component_usage ctx (entry ctx)
 
 let pp fmt u =
   Format.fprintf fmt "{luts=%d; regs=%d; reg_cells=%d; dsps=%d; brams=%d}"

@@ -32,6 +32,7 @@ val component_usage : Ir.context -> Ir.component -> usage
     multiplexing, and guard logic. *)
 
 val context_usage : Ir.context -> usage
-(** {!component_usage} of the entrypoint. *)
+(** {!component_usage} of the entrypoint, in one [synth.area] telemetry
+    span. *)
 
 val pp : Format.formatter -> usage -> unit

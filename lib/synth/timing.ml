@@ -377,15 +377,13 @@ let component_timing ?(paths = 5) ctx comp =
   }
 
 let context_timing ?paths ctx =
-  Calyx_telemetry.Trace.with_span ~cat:"stage" "timing" @@ fun () ->
+  Calyx_telemetry.Trace.with_span ~cat:"stage" "synth.timing" @@ fun () ->
   let t = component_timing ?paths ctx (entry ctx) in
   if Calyx_telemetry.Runtime.on () then begin
     Calyx_telemetry.Trace.add_metric "delay_ps" (float_of_int t.delay_ps);
     Calyx_telemetry.Trace.add_metric "levels" (float_of_int t.levels)
   end;
   t
-let component_depth ctx comp = component_timing ~paths:1 ctx comp
-let context_depth ctx = component_depth ctx (entry ctx)
 
 let period_ps r = max r.delay_ps min_period_ps
 let period_ns r = float_of_int (period_ps r) /. 1000.

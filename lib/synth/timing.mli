@@ -61,13 +61,8 @@ val component_timing : ?paths:int -> Ir.context -> Ir.component -> report
     bounds the number of reported worst paths (default 5). *)
 
 val context_timing : ?paths:int -> Ir.context -> report
-(** {!component_timing} of the entrypoint. *)
-
-val component_depth : Ir.context -> Ir.component -> report
-(** Compatibility wrapper: {!component_timing} keeping a single path. *)
-
-val context_depth : Ir.context -> report
-(** {!component_depth} of the entrypoint. *)
+(** {!component_timing} of the entrypoint, in one [synth.timing] telemetry
+    span. *)
 
 (** {1 Clock and wall-time derivation} *)
 

@@ -76,14 +76,24 @@ let sad_pe ~width =
   |> with_continuous [ assign (this "out") (pa "acc" "out") ]
   |> with_control (enable "do_sad")
 
+(* Compile time grows with rows x cols x depth (32x32x32 takes seconds;
+   64x64x1 did not finish in 100 s), so each dimension is capped. *)
+let max_dimension = 32
+
 let generate ?pe d =
   List.iter
-    (fun (name, v) ->
-      if v < 1 then
+    (fun (name, v, most) ->
+      let fail bound =
         invalid_arg
-          (Printf.sprintf "systolic array: %s must be at least 1, got %d" name v))
+          (Printf.sprintf "systolic array: %s must be %s, got %d" name bound v)
+      in
+      if v < 1 then fail "at least 1"
+      else if v > most then fail (Printf.sprintf "at most %d" most))
     [
-      ("rows", d.rows); ("cols", d.cols); ("depth", d.depth); ("width", d.width);
+      ("rows", d.rows, max_dimension);
+      ("cols", d.cols, max_dimension);
+      ("depth", d.depth, max_dimension);
+      ("width", d.width, max_int);
     ];
   let pe = match pe with Some p -> p | None -> matmul_pe ~width:d.width in
   let w = d.width in

@@ -31,10 +31,15 @@ val sad_pe : width:int -> Ir.component
 (** A sum-of-absolute-differences PE ([acc += |left - top|], one cycle per
     activation), demonstrating PE-parametricity. Named ["sad_pe"]. *)
 
+val max_dimension : int
+(** The largest accepted [rows], [cols] and [depth]: 32, which compiles in
+    seconds (compile time grows with the array's volume). *)
+
 val generate : ?pe:Ir.component -> dims -> Ir.context
 (** The full program; the entrypoint is ["main"]. [pe] defaults to
     {!matmul_pe} at the array's width. Raises [Invalid_argument], naming
-    the parameter, if any dimension or the width is below 1. *)
+    the parameter, if any dimension or the width is below 1, or if
+    [rows], [cols] or [depth] exceeds {!max_dimension}. *)
 
 (** {1 Test-bench interface (external memory names)} *)
 

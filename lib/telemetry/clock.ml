@@ -13,8 +13,6 @@ let now_ns () =
   last := t;
   t
 
-let now_s () = now_ns () /. 1e9
-
 let timed f =
   let t0 = now_ns () in
   let r = f () in

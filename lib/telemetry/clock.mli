@@ -5,8 +5,5 @@
 val now_ns : unit -> float
 (** Monotonic nanoseconds since process start. *)
 
-val now_s : unit -> float
-(** Monotonic seconds since process start. *)
-
 val timed : (unit -> 'a) -> 'a * float
 (** Run [f], returning its result and its duration in seconds. *)

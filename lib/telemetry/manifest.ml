@@ -1,12 +1,12 @@
 (* Per-run JSONL manifests: one event per pipeline stage, carrying the
    identity a content-addressed cache would key on — source hash, pass
-   pipeline id, engine — plus the stage's wall/GC cost and its numeric
+   pipeline id, engine — plus the stage's wall and self time, GC cost and
+   its numeric
    results (cycles, delays, resource counts).
 
    Events are streamed: a writer installed with [install] subscribes to
    Trace's on_close hook and appends one line per completed "stage" or
-   "pass" span, stamped with the current run context ([set_run]). Sites
-   that aren't span-shaped can [record] an event directly. *)
+   "pass" span, stamped with the current run context ([set_run]). *)
 
 type event = {
   mf_stage : string;
@@ -16,6 +16,7 @@ type event = {
   mf_pipeline : string;
   mf_engine : string;
   mf_seconds : float;
+  mf_self_seconds : float;
   mf_minor_words : float;
   mf_major_words : float;
   mf_heap_delta_words : int;
@@ -66,7 +67,6 @@ let set_run ?source ?source_hash ?pipeline ?engine () =
   Option.iter (fun s -> context.cx_pipeline <- s) pipeline;
   Option.iter (fun s -> context.cx_engine <- s) engine
 
-let run_source () = (context ()).cx_source
 
 (* ------------------------------------------------------------------ *)
 (* JSON round-trip                                                     *)
@@ -82,6 +82,7 @@ let to_json e =
        ("pipeline", Json.str e.mf_pipeline);
        ("engine", Json.str e.mf_engine);
        ("seconds", Json.float e.mf_seconds);
+       ("self_seconds", Json.float e.mf_self_seconds);
        ("gc_minor_words", Json.float e.mf_minor_words);
        ("gc_major_words", Json.float e.mf_major_words);
        ("gc_heap_delta_words", Json.int e.mf_heap_delta_words);
@@ -117,6 +118,7 @@ let of_json v =
           mf_pipeline = s "pipeline";
           mf_engine = s "engine";
           mf_seconds = f "seconds";
+          mf_self_seconds = f "self_seconds";
           mf_minor_words = f "gc_minor_words";
           mf_major_words = f "gc_major_words";
           mf_heap_delta_words = int_of_float (f "gc_heap_delta_words");
@@ -193,28 +195,12 @@ let event_of_span (sp : Trace.span) =
     mf_pipeline = context.cx_pipeline;
     mf_engine = engine;
     mf_seconds = Trace.seconds sp;
+    mf_self_seconds = Trace.self_seconds sp;
     mf_minor_words = sp.Trace.sp_minor_words;
     mf_major_words = sp.Trace.sp_major_words;
     mf_heap_delta_words = sp.Trace.sp_heap_delta_words;
     mf_data = Trace.metrics sp;
   }
-
-let record ?(cat = "event") ?(engine = "") ?(seconds = 0.) ?(data = []) w stage =
-  let context = context () in
-  emit w
-    {
-      mf_stage = stage;
-      mf_cat = cat;
-      mf_source = context.cx_source;
-      mf_source_hash = context.cx_source_hash;
-      mf_pipeline = context.cx_pipeline;
-      mf_engine = (if engine = "" then context.cx_engine else engine);
-      mf_seconds = seconds;
-      mf_minor_words = 0.;
-      mf_major_words = 0.;
-      mf_heap_delta_words = 0;
-      mf_data = data;
-    }
 
 let manifest_cats = [ "stage"; "pass" ]
 

@@ -6,13 +6,19 @@
     [calyx report]. *)
 
 type event = {
-  mf_stage : string;  (** ["parse"], ["compile"], a pass name, ["sim"], ... *)
+  mf_stage : string;
+      (** The span name: ["frontend"], ["calyx.compile"],
+          ["calyx.pass.remove-groups"], ["sim.simulate"], ... *)
   mf_cat : string;  (** ["stage"] or ["pass"] for span-derived events. *)
   mf_source : string;  (** Input label: file name, kernel, design. *)
   mf_source_hash : string;  (** {!hash} of the source text. *)
   mf_pipeline : string;  (** Pass pipeline id (see [Pipelines.id]). *)
   mf_engine : string;  (** Simulation engine, [""] when not applicable. *)
   mf_seconds : float;
+  mf_self_seconds : float;
+      (** [mf_seconds] minus the time of nested stage/pass spans
+          ({!Trace.self_seconds}); summing it over a run never counts a
+          nested span twice. *)
   mf_minor_words : float;
   mf_major_words : float;
   mf_heap_delta_words : int;
@@ -29,8 +35,6 @@ val set_run :
   ?engine:string -> unit -> unit
 (** Update the process-wide run context stamped onto subsequent events.
     Fields not passed keep their current value. *)
-
-val run_source : unit -> string
 
 (** {1 JSON round-trip} *)
 
@@ -55,19 +59,12 @@ val emit : writer -> event -> unit
 val events_written : writer -> int
 val close : writer -> unit
 
-val record :
-  ?cat:string -> ?engine:string -> ?seconds:float ->
-  ?data:(string * float) list -> writer -> string -> unit
-(** Emit an ad-hoc event under the current run context (for sites that are
-    not span-shaped). *)
-
 (** {1 The Trace bridge} *)
-
-val event_of_span : Trace.span -> event
 
 val install : writer -> unit
 (** Subscribe to {!Trace.set_on_close}: every completed span of category
     ["stage"] or ["pass"] is appended to the manifest as it closes,
-    stamped with the current run context. *)
+    stamped with the current run context. Spans are the only source of
+    events. *)
 
 val uninstall : unit -> unit

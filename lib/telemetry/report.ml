@@ -8,6 +8,7 @@ type rollup = {
   r_cat : string;
   r_count : int;
   r_seconds : float;
+  r_self_seconds : float;
   r_minor_words : float;
   r_major_words : float;
   r_data : (string * float) list;  (* summed numeric results *)
@@ -39,6 +40,7 @@ let aggregate events =
               r_cat = e.Manifest.mf_cat;
               r_count = 1;
               r_seconds = e.Manifest.mf_seconds;
+              r_self_seconds = e.Manifest.mf_self_seconds;
               r_minor_words = e.Manifest.mf_minor_words;
               r_major_words = e.Manifest.mf_major_words;
               r_data = e.Manifest.mf_data;
@@ -49,6 +51,7 @@ let aggregate events =
               r with
               r_count = r.r_count + 1;
               r_seconds = r.r_seconds +. e.Manifest.mf_seconds;
+              r_self_seconds = r.r_self_seconds +. e.Manifest.mf_self_seconds;
               r_minor_words = r.r_minor_words +. e.Manifest.mf_minor_words;
               r_major_words = r.r_major_words +. e.Manifest.mf_major_words;
               r_data = merge_data r.r_data e.Manifest.mf_data;
@@ -56,21 +59,16 @@ let aggregate events =
     events;
   List.rev_map (fun key -> Hashtbl.find table key) !order
 
+(* Self times partition a run (no nested span is counted twice), so the
+   per-source total is their sum over every row. *)
 let totals_by_source rollups =
   let order = ref [] in
   let table = Hashtbl.create 16 in
   List.iter
     (fun r ->
-      (* Pass spans nest inside the compile stage span; summing only the
-         "stage" rows keeps per-source totals from double-counting. *)
-      if r.r_cat <> "pass" then begin
-        if not (Hashtbl.mem table r.r_source) then order := r.r_source :: !order;
-        let s, m =
-          Option.value (Hashtbl.find_opt table r.r_source) ~default:(0., 0.)
-        in
-        Hashtbl.replace table r.r_source
-          (s +. r.r_seconds, m +. r.r_minor_words)
-      end)
+      if not (Hashtbl.mem table r.r_source) then order := r.r_source :: !order;
+      let s = Option.value (Hashtbl.find_opt table r.r_source) ~default:0. in
+      Hashtbl.replace table r.r_source (s +. r.r_self_seconds))
     rollups;
   List.rev_map (fun src -> (src, Hashtbl.find table src)) !order
 
@@ -82,8 +80,8 @@ let fmt_words w =
 let render rollups =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "%-20s %-22s %5s %10s %10s %10s  %s\n" "source" "stage" "n"
-       "wall_ms" "minor" "major" "metrics");
+    (Printf.sprintf "%-20s %-34s %5s %10s %10s %10s %10s  %s\n" "source"
+       "stage" "n" "wall_ms" "self_ms" "minor" "major" "metrics");
   List.iter
     (fun r ->
       let metrics =
@@ -95,22 +93,22 @@ let render rollups =
              r.r_data)
       in
       Buffer.add_string buf
-        (Printf.sprintf "%-20s %-22s %5d %10.3f %10s %10s  %s\n" r.r_source
+        (Printf.sprintf "%-20s %-34s %5d %10.3f %10.3f %10s %10s  %s\n"
+           r.r_source
            (if r.r_cat = "pass" then "  " ^ r.r_stage else r.r_stage)
-           r.r_count (r.r_seconds *. 1000.)
+           r.r_count (r.r_seconds *. 1000.) (r.r_self_seconds *. 1000.)
            (fmt_words r.r_minor_words)
            (fmt_words r.r_major_words)
            metrics))
     rollups;
   (match totals_by_source rollups with
-  | [] | [ _ ] -> ()
+  | [] -> ()
   | per_source ->
-      Buffer.add_string buf "\nper-source totals (stage rows only):\n";
+      Buffer.add_string buf "\nper-source totals (sum of self time):\n";
       List.iter
-        (fun (src, (s, m)) ->
+        (fun (src, s) ->
           Buffer.add_string buf
-            (Printf.sprintf "  %-20s %10.3f ms %10s minor\n" src (s *. 1000.)
-               (fmt_words m)))
+            (Printf.sprintf "  %-20s %10.3f ms\n" src (s *. 1000.)))
         per_source);
   Buffer.contents buf
 
@@ -122,6 +120,7 @@ let rollup_json r =
       ("cat", Json.str r.r_cat);
       ("count", Json.int r.r_count);
       ("seconds", Json.float r.r_seconds);
+      ("self_seconds", Json.float r.r_self_seconds);
       ("gc_minor_words", Json.float r.r_minor_words);
       ("gc_major_words", Json.float r.r_major_words);
       ( "data",
@@ -135,13 +134,8 @@ let to_json rollups =
       ( "totals",
         Json.obj
           (List.map
-             (fun (src, (s, m)) ->
-               ( src,
-                 Json.obj
-                   [
-                     ("seconds", Json.float s);
-                     ("gc_minor_words", Json.float m);
-                   ] ))
+             (fun (src, s) ->
+               (src, Json.obj [ ("self_seconds", Json.float s) ]))
              (totals_by_source rollups)) );
     ]
 

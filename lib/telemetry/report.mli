@@ -1,6 +1,7 @@
 (** Aggregation behind [calyx report]: fold a corpus of JSONL run
     manifests into per-source, per-stage rollups (invocation counts, wall
-    time, GC words, summed stage metrics), and compare two bench results
+    and self time, GC words, summed stage metrics), and compare two bench
+    results
     files for compile-time regressions. *)
 
 type rollup = {
@@ -8,19 +9,21 @@ type rollup = {
   r_stage : string;
   r_cat : string;
   r_count : int;
-  r_seconds : float;
+  r_seconds : float;  (** Summed wall time, children included. *)
+  r_self_seconds : float;  (** Summed self time. *)
   r_minor_words : float;
   r_major_words : float;
   r_data : (string * float) list;
 }
 
 val aggregate : Manifest.event list -> rollup list
-(** Group by (source, stage) in first-seen order, summing wall time, GC
-    words, and every numeric data field. *)
+(** Group by (source, stage) in first-seen order, summing wall and self
+    time, GC words, and every numeric data field. *)
 
-val totals_by_source : rollup list -> (string * (float * float)) list
-(** Per-source [(seconds, minor words)] totals over the ["stage"] rows
-    (pass rows nest inside the compile stage and would double-count). *)
+val totals_by_source : rollup list -> (string * float) list
+(** Per-source seconds: the sum of self time over every row. Nested spans
+    are not counted twice, so a traced job's total is its root span's
+    wall time minus the root's own self time. *)
 
 val render : rollup list -> string
 val to_json : rollup list -> string
@@ -35,10 +38,6 @@ type perf_delta = {
   p_normalized : float;  (** [p_ratio] divided by the machine factor. *)
   p_regressed : bool;
 }
-
-val perf_rows : Json.value -> (string * float) list
-(** The [(name, ns_per_run)] rows of a BENCH_results.json ["perf"]
-    experiment. *)
 
 val compare_perf :
   threshold:float -> baseline:Json.value -> current:Json.value ->

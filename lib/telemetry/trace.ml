@@ -1,13 +1,17 @@
 (* Hierarchical spans: one trace context for a whole toolchain run.
 
-   A span is opened and closed around each pipeline stage (parse, check,
-   each pass, emit, sim, validate, timing, ...) and records wall time from
+   A span is opened and closed around each toolchain layer (frontend,
+   well-formedness, lint, each pass, sim instantiate/run, emit, RTL
+   load/sim, timing, area) and records wall time from
    the shared Clock plus GC deltas from Gc.quick_stat — minor and major
    words allocated and the major-heap size change. Spans nest through an
    explicit stack; completed spans are optionally buffered (for Chrome
    trace export) and always handed to the [on_close] hook, which is how
    Manifest streams one JSONL event per stage without any plumbing through
    the compiler's APIs.
+
+   Self time is computed here and nowhere else: a closing span adds its
+   duration to its parent, the span below it on the same stack.
 
    Domain safety (the compile farm runs pipelines on worker domains): span
    ids and sequence numbers are atomics, the open-span stack is
@@ -21,7 +25,6 @@ type arg = F of float | S of string
 type span = {
   sp_id : int;
   sp_parent : int;  (* -1 for roots *)
-  sp_depth : int;
   sp_name : string;
   sp_cat : string;
   sp_start_ns : float;
@@ -29,6 +32,7 @@ type span = {
   mutable sp_minor_words : float;
   mutable sp_major_words : float;
   mutable sp_heap_delta_words : int;
+  mutable sp_child_ns : float;  (* summed duration of closed children *)
   mutable sp_args : (string * arg) list;  (* reversed attachment order *)
   sp_seq : int;  (* global open order *)
   mutable sp_seq_close : int;
@@ -66,6 +70,7 @@ let reset () =
   Mutex.unlock close_mutex
 
 let seconds sp = (sp.sp_end_ns -. sp.sp_start_ns) /. 1e9
+let self_seconds sp = (sp.sp_end_ns -. sp.sp_start_ns -. sp.sp_child_ns) /. 1e9
 
 let spans () =
   Mutex.lock close_mutex;
@@ -91,23 +96,18 @@ let metrics sp =
     (fun (k, v) -> match v with F f -> Some (k, f) | S _ -> None)
     (args sp)
 
-let with_span ?(cat = "span") ?(args = []) name f =
+let with_span ?(cat = "span") name f =
   if not (Runtime.on ()) then f ()
   else begin
     let g0 = Gc.quick_stat () in
     let stack = stack () in
-    let parent, depth =
-      match !stack with
-      | [] -> (-1, 0)
-      | p :: _ -> (p.sp_id, p.sp_depth + 1)
-    in
+    let parent = match !stack with [] -> -1 | p :: _ -> p.sp_id in
     let id = Atomic.fetch_and_add next_id 1 in
     let seq = Atomic.fetch_and_add next_seq 1 in
     let sp =
       {
         sp_id = id;
         sp_parent = parent;
-        sp_depth = depth;
         sp_name = name;
         sp_cat = cat;
         sp_start_ns = Clock.now_ns ();
@@ -115,7 +115,8 @@ let with_span ?(cat = "span") ?(args = []) name f =
         sp_minor_words = 0.;
         sp_major_words = 0.;
         sp_heap_delta_words = 0;
-        sp_args = List.rev_map (fun (k, v) -> (k, v)) args;
+        sp_child_ns = 0.;
+        sp_args = [];
         sp_seq = seq;
         sp_seq_close = seq;
       }
@@ -136,6 +137,11 @@ let with_span ?(cat = "span") ?(args = []) name f =
         | l -> l
       in
       stack := pop !stack;
+      (match !stack with
+      | parent :: _ ->
+          parent.sp_child_ns <-
+            parent.sp_child_ns +. (sp.sp_end_ns -. sp.sp_start_ns)
+      | [] -> ());
       (* Merge into the shared buffer and stream to the manifest under
          one lock: concurrent closes on worker domains serialize here. *)
       Mutex.lock close_mutex;
@@ -160,61 +166,38 @@ let with_span ?(cat = "span") ?(args = []) name f =
 
 let arg_json = function F f -> Json.float f | S s -> Json.str s
 
-(* Complete ("X") events, one per span, on a single pid/tid (the pipeline
-   is one thread of work). [scrub] replaces wall-clock timestamps with the
+(* One complete event per span, on a single thread (the pipeline is one
+   thread of work). [scrub] replaces wall-clock timestamps with the
    deterministic open/close sequence numbers and drops the GC and error
    args — the form committed as a golden test, which pins the span
    *structure* (names, categories, nesting, deterministic metrics like
    cycle counts) without the run-to-run timing noise. *)
 let to_chrome ?(scrub = false) () =
-  let all = spans () in
-  let events =
-    List.map
-      (fun sp ->
-        let ts, dur =
-          if scrub then
-            (float_of_int sp.sp_seq, float_of_int (sp.sp_seq_close - sp.sp_seq))
-          else (sp.sp_start_ns /. 1e3, (sp.sp_end_ns -. sp.sp_start_ns) /. 1e3)
-        in
-        let args =
-          if scrub then
-            List.filter (fun (k, v) ->
-                match v with F _ -> k <> "seconds" | S _ -> k <> "error")
-              (args sp)
-          else
-            args sp
-            @ [
-                ("gc_minor_words", F sp.sp_minor_words);
-                ("gc_major_words", F sp.sp_major_words);
-                ("gc_heap_delta_words", F (float_of_int sp.sp_heap_delta_words));
-              ]
-        in
-        Json.obj
-          [
-            ("ph", Json.str "X");
-            ("name", Json.str sp.sp_name);
-            ("cat", Json.str sp.sp_cat);
-            ("pid", Json.int 1);
-            ("tid", Json.int 1);
-            ("ts", Json.float ts);
-            ("dur", Json.float dur);
-            ( "args",
-              Json.obj (List.map (fun (k, v) -> (k, arg_json v)) args) );
-          ])
-      all
+  let event sp =
+    let ts, dur =
+      if scrub then
+        (float_of_int sp.sp_seq, float_of_int (sp.sp_seq_close - sp.sp_seq))
+      else (sp.sp_start_ns /. 1e3, (sp.sp_end_ns -. sp.sp_start_ns) /. 1e3)
+    in
+    let args =
+      if scrub then List.filter (fun (k, _) -> k <> "error") (args sp)
+      else
+        args sp
+        @ [
+            ("gc_minor_words", F sp.sp_minor_words);
+            ("gc_major_words", F sp.sp_major_words);
+            ("gc_heap_delta_words", F (float_of_int sp.sp_heap_delta_words));
+          ]
+    in
+    {
+      Trace_event.name = sp.sp_name;
+      cat = sp.sp_cat;
+      tid = 1;
+      ts;
+      dur;
+      args = List.map (fun (k, v) -> (k, arg_json v)) args;
+    }
   in
-  let metadata =
-    Json.obj
-      [
-        ("ph", Json.str "M");
-        ("name", Json.str "process_name");
-        ("pid", Json.int 1);
-        ("tid", Json.int 1);
-        ("args", Json.obj [ ("name", Json.str "calyx toolchain") ]);
-      ]
-  in
-  Json.obj
-    [
-      ("traceEvents", Json.arr (metadata :: events));
-      ("displayTimeUnit", Json.str "ms");
-    ]
+  Trace_event.to_json
+    [ Trace_event.Process "calyx toolchain" ]
+    (List.map event (spans ()))

@@ -1,12 +1,14 @@
 (** Hierarchical pipeline spans with wall-time and GC attribution.
 
-    One trace context covers a full toolchain run: parse, check/lint, each
-    optimization pass, control compilation, emission, simulation (either
-    engine), translation validation, and timing analysis each open a span
-    via {!with_span}. A span records wall time from the shared {!Clock}
-    and, per [Gc.quick_stat], the minor and major words allocated inside
-    it and the major-heap size delta. Nesting is tracked with an explicit
-    stack, so a pass span is a child of the compile span that ran it.
+    One trace context covers a full toolchain run. Each layer (frontend,
+    well-formedness, lint, each pass, sim instantiate/run, emit, RTL
+    load/sim, timing, area) opens exactly one span via {!with_span}, and no
+    caller wraps a layer in another (DESIGN.md lists the names). A span
+    records wall time from the shared {!Clock} and, per [Gc.quick_stat],
+    the minor and major words allocated inside it and the major-heap size
+    delta. Nesting is tracked with an explicit stack; a closing span adds
+    its duration to its parent's, so {!self_seconds} is computed here
+    once and the self times of a tree sum to its root's duration.
 
     With telemetry disabled ({!Runtime.on} [= false]) [with_span] calls
     its thunk directly — one branch of overhead. Completed spans are
@@ -19,7 +21,6 @@ type arg = F of float | S of string
 type span = {
   sp_id : int;
   sp_parent : int;  (** id of the enclosing span, [-1] for roots. *)
-  sp_depth : int;
   sp_name : string;
   sp_cat : string;  (** ["stage"], ["pass"], or a site-specific label. *)
   sp_start_ns : float;
@@ -27,13 +28,13 @@ type span = {
   mutable sp_minor_words : float;
   mutable sp_major_words : float;
   mutable sp_heap_delta_words : int;
+  mutable sp_child_ns : float;  (** Summed duration of closed children. *)
   mutable sp_args : (string * arg) list;
   sp_seq : int;  (** Global open order. *)
   mutable sp_seq_close : int;  (** Global close order. *)
 }
 
-val with_span :
-  ?cat:string -> ?args:(string * arg) list -> string -> (unit -> 'a) -> 'a
+val with_span : ?cat:string -> string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a new span. The span is closed (and reported)
     even when the thunk raises; the exception is recorded as an ["error"]
     arg and re-raised. *)
@@ -46,6 +47,10 @@ val add_tag : string -> string -> unit
 (** Attach a string attribute (engine name, file, ...) likewise. *)
 
 val seconds : span -> float
+
+val self_seconds : span -> float
+(** {!seconds} minus the time spent in child spans. *)
+
 val args : span -> (string * arg) list
 val find_arg : span -> string -> arg option
 
@@ -66,7 +71,7 @@ val reset : unit -> unit
 (** Drop buffered and open spans and restart ids (tests, golden gen). *)
 
 val to_chrome : ?scrub:bool -> unit -> string
-(** The buffered spans as Chrome [trace_event] JSON (open the file at
-    ui.perfetto.dev). [scrub] substitutes deterministic sequence numbers
-    for wall-clock timestamps and drops GC/error args, producing
-    byte-stable output for golden tests. *)
+(** The buffered spans as Chrome JSON, through {!Trace_event}. [scrub]
+    substitutes deterministic sequence numbers for wall-clock timestamps
+    and drops GC/error args, producing byte-stable output for golden
+    tests. *)

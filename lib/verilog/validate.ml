@@ -67,6 +67,7 @@ let disagreements =
 let no_load (_ : Calyx_sim.Testbench.io) = ()
 
 let against_sim ?(load = no_load) ctx ~sim ~cycles:cycles_sim =
+  Calyx_telemetry.Trace.with_span ~cat:"stage" "verilog.validate" @@ fun () ->
   let sv = Verilog.emit ctx in
   let rtl = Vinterp.load ~top:ctx.entrypoint sv in
   let sim_io = Calyx_sim.Testbench.of_sim sim in
@@ -118,7 +119,6 @@ let against_sim ?(load = no_load) ctx ~sim ~cycles:cycles_sim =
   }
 
 let validate ?(engine = `Compiled) ?(load = no_load) ctx =
-  Calyx_telemetry.Trace.with_span ~cat:"stage" "validate" @@ fun () ->
   let sim = Calyx_sim.Sim.create ~engine ctx in
   load (Calyx_sim.Testbench.of_sim sim);
   let cycles = Calyx_sim.Sim.run sim in

@@ -59,8 +59,10 @@ val against_sim :
     simulated [ctx]: [sim] must have been built from [ctx], loaded with
     [load] and run to completion in [cycles] cycles. Emits [ctx] to
     SystemVerilog, elaborates it with {!Vinterp}, applies [load] to the
-    RTL, runs it and compares it against [sim]'s final state. Opens no
-    span of its own. *)
+    RTL, runs it and compares it against [sim]'s final state. Traced as
+    one [verilog.validate] span grouping [verilog.emit],
+    [verilog.rtl_load] and [verilog.rtl_sim]; it carries the
+    [mismatches] and [cycles] metrics. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** A short human-readable summary (cycle counts, state-element counts,

@@ -388,7 +388,7 @@ let primitive_library ctx =
     (List.filter_map primitive_module (used_primitives ctx))
 
 let emit ctx =
-  Calyx_telemetry.Trace.with_span ~cat:"stage" "emit" @@ fun () ->
+  Calyx_telemetry.Trace.with_span ~cat:"stage" "verilog.emit" @@ fun () ->
   let b = Buffer.create 16384 in
   buf_add b "// Generated by the Calyx (OCaml) compiler.\n";
   List.iter

@@ -18,7 +18,7 @@ exception Not_lowered of string
 
 val emit : Ir.context -> string
 (** The whole program: primitive library followed by component modules (the
-    entrypoint last). *)
+    entrypoint last). Traced as one [verilog.emit] span. *)
 
 val emit_component : Ir.context -> Ir.component -> string
 (** A single component module. *)

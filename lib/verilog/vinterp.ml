@@ -1037,6 +1037,7 @@ let finalize d =
   d.ffs <- List.rev d.ffs
 
 let load ?(max_fixpoint_iters = 1000) ~top src =
+  Calyx_telemetry.Trace.with_span ~cat:"stage" "verilog.rtl_load" @@ fun () ->
   let modules = parse_file src in
   let mods = Hashtbl.create 16 in
   List.iter (fun m -> Hashtbl.replace mods m.m_name m) modules;
@@ -1156,7 +1157,7 @@ let read_output d name =
   Bitvec.make ~width:d.widths.(id) d.vals.(id)
 
 let run ?(max_cycles = 5_000_000) d =
-  Calyx_telemetry.Trace.with_span ~cat:"stage" "rtl-sim" @@ fun () ->
+  Calyx_telemetry.Trace.with_span ~cat:"stage" "verilog.rtl_sim" @@ fun () ->
   if Calyx_telemetry.Runtime.on () then
     Calyx_telemetry.Trace.add_tag "engine" "rtl";
   set_input d "go" (Bitvec.one 1);

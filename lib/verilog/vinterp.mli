@@ -45,7 +45,8 @@ type t
 val load : ?max_fixpoint_iters:int -> top:string -> string -> t
 (** [load ~top source] parses [source] and elaborates module [top] (the
     design's entrypoint, instantiated at the empty hierarchical path).
-    [max_fixpoint_iters] bounds settle passes per cycle (default 1000). *)
+    [max_fixpoint_iters] bounds settle passes per cycle (default 1000).
+    Traced as one [verilog.rtl_load] span. *)
 
 (** {1 The [go]/[done] test-bench convention} *)
 
@@ -53,7 +54,8 @@ val run : ?max_cycles:int -> t -> int
 (** Drive the top-level [go] input high and simulate until the design
     presents [done]; returns the latency in cycles, the done cycle
     included — the exact counting convention of {!Calyx_sim.Sim.run}.
-    [max_cycles] defaults to 5,000,000. *)
+    [max_cycles] defaults to 5,000,000. Traced as one [verilog.rtl_sim]
+    span. *)
 
 val cycle : t -> unit
 (** Advance one clock: settle, then commit every [always_ff] block. *)

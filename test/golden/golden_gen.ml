@@ -26,7 +26,9 @@ let parse file =
 let pipeline_run file =
   Tele.Runtime.enable ();
   Tele.Trace.set_keep true;
-  let ctx = Tele.Trace.with_span ~cat:"stage" "parse" (fun () -> parse file) in
+  let ctx =
+    Tele.Trace.with_span ~cat:"stage" "frontend" (fun () -> parse file)
+  in
   let lowered = Calyx.Pipelines.compile ctx in
   List.iter
     (fun engine ->

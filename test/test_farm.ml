@@ -419,18 +419,20 @@ let test_manifest_concurrent_writes () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       let w = T.Manifest.open_file path in
+      T.Manifest.install w;
       let domains = 4 and per_domain = 250 in
-      let workers =
-        List.init domains (fun d ->
-            Domain.spawn (fun () ->
-                for i = 0 to per_domain - 1 do
-                  T.Manifest.record ~cat:"stage"
-                    ~data:[ ("value", float_of_int ((d * per_domain) + i)) ]
-                    w
-                    (Printf.sprintf "stage-%d-%d" d i)
-                done))
-      in
-      List.iter Domain.join workers;
+      T.Runtime.with_enabled (fun () ->
+          List.iter Domain.join
+            (List.init domains (fun d ->
+                 Domain.spawn (fun () ->
+                     for i = 0 to per_domain - 1 do
+                       T.Trace.with_span ~cat:"stage"
+                         (Printf.sprintf "stage-%d-%d" d i)
+                         (fun () ->
+                           T.Trace.add_metric "value"
+                             (float_of_int ((d * per_domain) + i)))
+                     done))));
+      T.Manifest.uninstall ();
       T.Manifest.close w;
       (* Every line parses and every event survived: a torn or interleaved
          line would either fail the JSON parser or drop an event. *)

@@ -26,7 +26,7 @@ let register_values sim regs =
 let run_engine ~engine ctx regs =
   let sim = Calyx_sim.Sim.create ~engine ctx in
   let events = ref [] in
-  Calyx_sim.Sim.set_ctrl_sink sim (Some (fun e -> events := e :: !events));
+  Calyx_sim.Sim.add_ctrl_sink sim (fun e -> events := e :: !events);
   let cycles = Calyx_sim.Sim.run ~max_cycles:400_000 sim in
   (cycles, register_values sim regs, List.rev !events)
 

@@ -197,22 +197,37 @@ let prop_random_matrices =
       read_result sim d = matmul a b)
 
 (* Degenerate dimensions are rejected by name instead of escaping as an
-   unrelated List.init error. *)
+   unrelated List.init error, and so are dimensions above the documented
+   cap, which would otherwise compile for minutes or never finish. *)
 let test_rejects_empty_dims () =
   List.iter
-    (fun (name, d) ->
+    (fun (name, d, expected) ->
       match Systolic.generate d with
       | exception Invalid_argument msg ->
-          Alcotest.(check string) name
-            (Printf.sprintf "systolic array: %s must be at least 1, got 0" name)
-            msg
-      | _ -> Alcotest.failf "%s = 0 accepted" name)
+          Alcotest.(check string) name expected msg
+      | _ -> Alcotest.failf "%s accepted" expected)
     [
-      ("rows", { (square 2) with Systolic.rows = 0 });
-      ("cols", { (square 2) with Systolic.cols = 0 });
-      ("depth", { (square 2) with Systolic.depth = 0 });
-      ("width", { (square 2) with Systolic.width = 0 });
-    ]
+      ("rows", { (square 2) with Systolic.rows = 0 },
+       "systolic array: rows must be at least 1, got 0");
+      ("cols", { (square 2) with Systolic.cols = 0 },
+       "systolic array: cols must be at least 1, got 0");
+      ("depth", { (square 2) with Systolic.depth = 0 },
+       "systolic array: depth must be at least 1, got 0");
+      ("width", { (square 2) with Systolic.width = 0 },
+       "systolic array: width must be at least 1, got 0");
+      ("rows", { (square 1) with Systolic.rows = 100_000 },
+       "systolic array: rows must be at most 32, got 100000");
+      ("cols", { (square 1) with Systolic.cols = 2000 },
+       "systolic array: cols must be at most 32, got 2000");
+      ("depth", { (square 1) with Systolic.depth = 2000 },
+       "systolic array: depth must be at most 32, got 2000");
+      ("rows", { (square 1) with Systolic.rows = Systolic.max_dimension + 1 },
+       "systolic array: rows must be at most 32, got 33");
+    ];
+  (* The cap itself is accepted. *)
+  ignore
+    (Systolic.generate
+       { (square 1) with Systolic.rows = Systolic.max_dimension })
 
 (* PE names join two indices; each is zero-padded to its own dimension's
    digit count, so 12x12 no longer collides ("pe_1" ^ "10" vs "pe_11" ^

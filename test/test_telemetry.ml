@@ -118,7 +118,6 @@ let test_span_nesting () =
       Alcotest.(check int) "outer is a root" (-1) outer.T.Trace.sp_parent;
       Alcotest.(check int) "inner nests under outer" outer.T.Trace.sp_id
         inner.T.Trace.sp_parent;
-      Alcotest.(check int) "inner depth" 1 inner.T.Trace.sp_depth;
       Alcotest.(check bool) "outer encloses inner" true
         (T.Trace.seconds outer >= T.Trace.seconds inner);
       Alcotest.(check (list (pair string (float 0.))))
@@ -188,16 +187,20 @@ let test_hash () =
 
 let test_manifest_roundtrip () =
   let file = Filename.temp_file "calyx_manifest" ".jsonl" in
+  T.Trace.set_keep true;
   T.Runtime.with_enabled (fun () ->
       let w = T.Manifest.open_file file in
+      T.Manifest.install w;
       T.Manifest.set_run ~source:"roundtrip.futil" ~source_hash:"deadbeef"
         ~pipeline:"cafe" ~engine:"compiled" ();
-      T.Manifest.record ~cat:"stage" ~seconds:0.25
-        ~data:[ ("cycles", 99.); ("luts", 12.) ]
-        w "sim";
-      T.Manifest.record w "emit";
+      T.Trace.with_span ~cat:"stage" "sim" (fun () ->
+          T.Trace.add_metric "cycles" 99.;
+          T.Trace.add_metric "luts" 12.);
+      T.Trace.with_span ~cat:"stage" "emit" ignore;
       Alcotest.(check int) "events written" 2 (T.Manifest.events_written w);
+      T.Manifest.uninstall ();
       T.Manifest.close w);
+  let sim_span = List.hd (T.Trace.spans ()) in
   (match T.Manifest.read_file file with
   | [ sim; emit ] ->
       Alcotest.(check string) "stage" "sim" sim.T.Manifest.mf_stage;
@@ -205,7 +208,10 @@ let test_manifest_roundtrip () =
       Alcotest.(check string) "source hash" "deadbeef" sim.T.Manifest.mf_source_hash;
       Alcotest.(check string) "pipeline" "cafe" sim.T.Manifest.mf_pipeline;
       Alcotest.(check string) "engine" "compiled" sim.T.Manifest.mf_engine;
-      Alcotest.(check (float 1e-9)) "seconds" 0.25 sim.T.Manifest.mf_seconds;
+      Alcotest.(check (float 0.)) "seconds round-trip exactly"
+        (T.Trace.seconds sim_span) sim.T.Manifest.mf_seconds;
+      Alcotest.(check (float 0.)) "a leaf's self time is its wall time"
+        sim.T.Manifest.mf_seconds sim.T.Manifest.mf_self_seconds;
       Alcotest.(check (list (pair string (float 0.))))
         "data" [ ("cycles", 99.); ("luts", 12.) ] sim.T.Manifest.mf_data;
       Alcotest.(check string) "second event" "emit" emit.T.Manifest.mf_stage
@@ -244,6 +250,7 @@ let ev ?(cat = "stage") ?(seconds = 1.) ?(data = []) source stage =
     mf_pipeline = "";
     mf_engine = "";
     mf_seconds = seconds;
+    mf_self_seconds = seconds;
     mf_minor_words = 10.;
     mf_major_words = 1.;
     mf_heap_delta_words = 0;
@@ -270,8 +277,8 @@ let test_aggregate () =
   Alcotest.(check (list (pair string (float 0.))))
     "data summed" [ ("cycles", 30.) ] sim.T.Report.r_data;
   let totals = T.Report.totals_by_source rollups in
-  Alcotest.(check (option (pair (float 1e-9) (float 0.))))
-    "per-source totals" (Some (6., 30.)) (List.assoc_opt "a" totals)
+  Alcotest.(check (option (float 1e-9)))
+    "per-source totals" (Some 6.) (List.assoc_opt "a" totals)
 
 let bench_json rows =
   T.Json.parse
@@ -307,6 +314,198 @@ let test_compare_perf () =
     T.Report.compare_perf ~threshold:0.25 ~baseline ~current:partial
   in
   Alcotest.(check int) "only shared rows" 1 (List.length deltas)
+
+(* Nested stage and pass spans, streamed to a manifest and rolled up: the
+   per-source total is the sum of self times, which equals the outermost
+   span's wall time — no nested span is counted twice. *)
+let test_report_self_totals () =
+  let file = Filename.temp_file "calyx_manifest" ".jsonl" in
+  let nap () = Unix.sleepf 0.002 in
+  T.Trace.reset ();
+  T.Trace.set_keep true;
+  T.Runtime.with_enabled (fun () ->
+      let w = T.Manifest.open_file file in
+      T.Manifest.install w;
+      T.Manifest.set_run ~source:"nested" ();
+      T.Trace.with_span ~cat:"stage" "outer" (fun () ->
+          nap ();
+          T.Trace.with_span ~cat:"stage" "middle" (fun () ->
+              nap ();
+              T.Trace.with_span ~cat:"pass" "leaf" nap);
+          T.Trace.with_span ~cat:"pass" "sibling" nap);
+      T.Manifest.uninstall ();
+      T.Manifest.close w);
+  let outer =
+    List.find (fun sp -> sp.T.Trace.sp_name = "outer") (T.Trace.spans ())
+  in
+  let events = T.Manifest.read_file file in
+  let self_sum =
+    List.fold_left (fun acc e -> acc +. e.T.Manifest.mf_self_seconds) 0. events
+  in
+  Alcotest.(check (float 1e-9)) "self times sum to the outer span"
+    (T.Trace.seconds outer) self_sum;
+  (match T.Report.totals_by_source (T.Report.aggregate events) with
+  | [ ("nested", total) ] ->
+      Alcotest.(check (float 1e-9)) "report total = sum of self" self_sum total
+  | _ -> Alcotest.fail "expected one source");
+  Sys.remove file;
+  T.Manifest.set_run ~source:"" ();
+  scrub ()
+
+(* ------------------------------------------------------------------ *)
+(* Trace invariants over the traced, validated job corpus              *)
+(* ------------------------------------------------------------------ *)
+
+module Job = Calyx_farm.Job
+
+(* The layer spans a job may open, and the spans that only group them. *)
+let layer_names =
+  [ "frontend"; "calyx.well_formed"; "calyx.lint" ]
+  @ List.map
+      (fun (p : Pass.t) -> "calyx.pass." ^ p.Pass.name)
+      (Pipelines.passes Pipelines.default_config)
+  @ [
+      "sim.instantiate";
+      "sim.simulate";
+      "verilog.emit";
+      "verilog.rtl_load";
+      "verilog.rtl_sim";
+      "synth.timing";
+      "synth.area";
+    ]
+
+let grouping_names = [ "calyx.compile"; "verilog.validate" ]
+
+let traced_run job =
+  T.Trace.reset ();
+  T.Trace.set_keep true;
+  T.Runtime.with_enabled (fun () -> ignore (Job.run job));
+  let spans = T.Trace.spans () in
+  scrub ();
+  spans
+
+(* The longest stretch of [parent] during which none of its children is
+   open, as a share of [parent]'s duration. *)
+let max_gap_share parent children =
+  let kids =
+    List.sort
+      (fun a b -> compare a.T.Trace.sp_start_ns b.T.Trace.sp_start_ns)
+      children
+  in
+  let last, gap =
+    List.fold_left
+      (fun (t, gap) c ->
+        (c.T.Trace.sp_end_ns, Float.max gap (c.T.Trace.sp_start_ns -. t)))
+      (parent.T.Trace.sp_start_ns, 0.)
+      kids
+  in
+  let gap = Float.max gap (parent.T.Trace.sp_end_ns -. last) in
+  gap /. (parent.T.Trace.sp_end_ns -. parent.T.Trace.sp_start_ns)
+
+(* Structural invariants: one root, only known span names, no span nested
+   under a span of its own name, and self times summing to the root. *)
+let check_structure label spans =
+  let by_id = Hashtbl.create 64 in
+  List.iter (fun sp -> Hashtbl.replace by_id sp.T.Trace.sp_id sp) spans;
+  let root =
+    match List.filter (fun sp -> sp.T.Trace.sp_parent < 0) spans with
+    | [ r ] -> r
+    | rs -> Alcotest.failf "%s: %d root spans" label (List.length rs)
+  in
+  Alcotest.(check string) (label ^ " root") ("job:" ^ label)
+    root.T.Trace.sp_name;
+  List.iter
+    (fun sp ->
+      let name = sp.T.Trace.sp_name in
+      if sp != root && not (List.mem name (layer_names @ grouping_names)) then
+        Alcotest.failf "%s: unexpected span %s" label name;
+      let rec ancestors id =
+        match Hashtbl.find_opt by_id id with
+        | None -> ()
+        | Some a ->
+            if a.T.Trace.sp_name = name then
+              Alcotest.failf "%s: %s nested inside a span of the same name"
+                label name;
+            ancestors a.T.Trace.sp_parent
+      in
+      ancestors sp.T.Trace.sp_parent)
+    spans;
+  let self_sum =
+    List.fold_left (fun acc sp -> acc +. T.Trace.self_seconds sp) 0. spans
+  in
+  Alcotest.(check (float 1e-6))
+    (label ^ ": self times sum to the root") (T.Trace.seconds root) self_sum
+
+(* Worst child-free stretch over the root and the grouping spans. A
+   layer span's own stretches are that layer's work and are not gaps. *)
+let worst_gap spans =
+  List.fold_left
+    (fun worst sp ->
+      let name = sp.T.Trace.sp_name in
+      if sp.T.Trace.sp_parent >= 0 && not (List.mem name grouping_names) then
+        worst
+      else
+        let children =
+          List.filter (fun c -> c.T.Trace.sp_parent = sp.T.Trace.sp_id) spans
+        in
+        let share = max_gap_share sp children in
+        match worst with
+        | Some (_, s) when s >= share -> worst
+        | _ -> Some (name, share))
+    None spans
+
+let corpus () =
+  let example f =
+    Job.of_file ~validate:true
+      (List.find Sys.file_exists
+         [ "../examples/sources/" ^ f; "examples/sources/" ^ f ])
+  in
+  let make src = Job.make ~validate:true src in
+  List.map example
+    [ "counter.futil"; "invoke.futil"; "dotprod.dahlia"; "histogram.dahlia" ]
+  @ List.map
+      (fun (k : Polybench.Kernels.kernel) ->
+        make (Job.Polybench { kernel = k.name; unrolled = false }))
+      Polybench.Kernels.all
+  @ List.map
+      (fun n -> make (Job.Systolic { rows = n; cols = n; depth = n }))
+      [ 2; 3; 4 ]
+  @ List.init 8 (fun i ->
+        make (Job.Fuzz { seed = Fuzz_seed.derive "trace" + i }))
+
+(* Every validated corpus job's trace adds up. The 5% stretch bound is a
+   wall-clock measure, so a job is re-run (up to five times) before a
+   stretch above it counts: a missing span shows up in every run, a
+   descheduled process or a GC pause in one. *)
+let test_traced_corpus () =
+  List.iter
+    (fun job ->
+      let label = Job.label job in
+      let rec attempt n =
+        let spans = traced_run job in
+        check_structure label spans;
+        (match job.Job.source with
+        | Job.Systolic _ ->
+            Alcotest.(check (list string))
+              (label ^ ": every layer has its span")
+              (List.sort compare (layer_names @ grouping_names))
+              (List.sort_uniq compare
+                 (List.filter_map
+                    (fun sp ->
+                      if sp.T.Trace.sp_parent < 0 then None
+                      else Some sp.T.Trace.sp_name)
+                    spans))
+        | _ -> ());
+        match worst_gap spans with
+        | Some (parent, share) when share > 0.05 ->
+            if n < 5 then attempt (n + 1)
+            else
+              Alcotest.failf "%s: %.1f%% of %s has no child span" label
+                (share *. 100.) parent
+        | _ -> ()
+      in
+      attempt 1)
+    (corpus ())
 
 (* ------------------------------------------------------------------ *)
 (* Log levels                                                          *)
@@ -392,6 +591,13 @@ let () =
         [
           Alcotest.test_case "aggregation" `Quick test_aggregate;
           Alcotest.test_case "perf comparison" `Quick test_compare_perf;
+          Alcotest.test_case "totals sum self time" `Quick
+            test_report_self_totals;
+        ] );
+      ( "trace invariants",
+        [
+          Alcotest.test_case "traced corpus adds up" `Slow
+            test_traced_corpus;
         ] );
       ("log", [ Alcotest.test_case "levels" `Quick test_log_levels ]);
       ("neutrality", [ QCheck_alcotest.to_alcotest prop_neutrality ]);

@@ -594,7 +594,7 @@ let () =
           Alcotest.test_case "totals sum self time" `Quick
             test_report_self_totals;
         ] );
-      ( "trace invariants",
+      ( "invariants",
         [
           Alcotest.test_case "traced corpus adds up" `Slow
             test_traced_corpus;
